@@ -1,10 +1,16 @@
 """Table-driven GF(q) matrix kernels: numba-jitted loops with a numpy fallback.
 
-Every kernel exists twice with identical semantics and bit-identical results:
+Each backend provides three batched kernels with identical semantics and
+bit-identical results: ``matmul_batch``, ``rank_batch`` and ``rref_batch``.
+Rank and RREF share one Gaussian elimination per backend, which reduces
+above the pivots only for RREF.  The two sources are
 
-* scalar-loop implementations, compiled with ``numba.njit`` when available
-  (these dominate the Monte Carlo hot path);
+* loop implementations, compiled with ``numba.njit`` when available and run
+  un-jitted as the reference in tests;
 * vectorized pure-numpy implementations used as the fallback.
+
+``matmul`` and ``rref`` act on one matrix: each is a batch of one through the
+active backend.
 
 Backend selection happens once at import time from the ``SUBCHAN_BACKEND``
 environment variable: ``numba`` forces the jitted path (raises if numba is
@@ -31,55 +37,8 @@ _ENV_VAR = "SUBCHAN_BACKEND"
 
 
 # ---------------------------------------------------------------------------
-# Scalar-loop implementations (numba sources; also the plain-python reference)
+# Loop implementations (numba sources; also the plain-python reference)
 # ---------------------------------------------------------------------------
-
-def _matmul_loops(a, b, add_t, mul_t):
-    n, kk = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m), dtype=np.uint8)
-    for i in range(n):
-        for j in range(m):
-            acc = np.uint8(0)
-            for t in range(kk):
-                acc = add_t[acc, mul_t[a[i, t], b[t, j]]]
-            out[i, j] = acc
-    return out
-
-
-def _rref_loops(mat, add_t, mul_t, inv_t, neg_t):
-    r = mat.copy()
-    rows, cols = r.shape
-    piv_cols = np.empty(min(rows, cols), dtype=np.int64)
-    npiv = 0
-    for c in range(cols):
-        if npiv == rows:
-            break
-        sel = -1
-        for i in range(npiv, rows):
-            if r[i, c] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != npiv:
-            for j in range(c, cols):
-                tmp = r[npiv, j]
-                r[npiv, j] = r[sel, j]
-                r[sel, j] = tmp
-        inv = inv_t[r[npiv, c]]
-        if inv != 1:
-            for j in range(c, cols):
-                r[npiv, j] = mul_t[inv, r[npiv, j]]
-        for i in range(rows):
-            if i != npiv and r[i, c] != 0:
-                f = neg_t[r[i, c]]
-                for j in range(c, cols):
-                    r[i, j] = add_t[r[i, j], mul_t[f, r[npiv, j]]]
-        piv_cols[npiv] = c
-        npiv += 1
-    return r, piv_cols[:npiv].copy()
-
 
 def _matmul_batch_loops(a, b, add_t, mul_t):
     nmat, n, kk = a.shape
@@ -95,42 +54,8 @@ def _matmul_batch_loops(a, b, add_t, mul_t):
     return out
 
 
-def _rank_batch_loops(mats, add_t, mul_t, inv_t, neg_t):
-    nmat, rows, cols = mats.shape
-    ranks = np.empty(nmat, dtype=np.int64)
-    work = mats.copy()
-    for s in range(nmat):
-        npiv = 0
-        for c in range(cols):
-            if npiv == rows:
-                break
-            sel = -1
-            for i in range(npiv, rows):
-                if work[s, i, c] != 0:
-                    sel = i
-                    break
-            if sel < 0:
-                continue
-            if sel != npiv:
-                for j in range(c, cols):
-                    tmp = work[s, npiv, j]
-                    work[s, npiv, j] = work[s, sel, j]
-                    work[s, sel, j] = tmp
-            inv = inv_t[work[s, npiv, c]]
-            if inv != 1:
-                for j in range(c, cols):
-                    work[s, npiv, j] = mul_t[inv, work[s, npiv, j]]
-            for i in range(npiv + 1, rows):
-                if work[s, i, c] != 0:
-                    f = neg_t[work[s, i, c]]
-                    for j in range(c, cols):
-                        work[s, i, j] = add_t[work[s, i, j], mul_t[f, work[s, npiv, j]]]
-            npiv += 1
-        ranks[s] = npiv
-    return ranks
-
-
-def _rref_batch_loops(mats, add_t, mul_t, inv_t, neg_t):
+def _eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, full):
+    """Gaussian elimination of each matrix; full=True reduces above pivots too."""
     nmat, rows, cols = mats.shape
     out = mats.copy()
     ranks = np.empty(nmat, dtype=np.int64)
@@ -155,7 +80,7 @@ def _rref_batch_loops(mats, add_t, mul_t, inv_t, neg_t):
             if inv != 1:
                 for j in range(c, cols):
                     out[s, npiv, j] = mul_t[inv, out[s, npiv, j]]
-            for i in range(rows):
+            for i in range(0 if full else npiv + 1, rows):
                 if i != npiv and out[s, i, c] != 0:
                     f = neg_t[out[s, i, c]]
                     for j in range(c, cols):
@@ -169,40 +94,6 @@ def _rref_batch_loops(mats, add_t, mul_t, inv_t, neg_t):
 # Vectorized pure-numpy implementations
 # ---------------------------------------------------------------------------
 
-def _matmul_numpy(a, b, add_t, mul_t):
-    n, kk = a.shape
-    m = b.shape[1]
-    out = np.zeros((n, m), dtype=np.uint8)
-    for t in range(kk):
-        out = add_t[out, mul_t[a[:, t][:, None], b[t, :][None, :]]]
-    return out
-
-
-def _rref_numpy(mat, add_t, mul_t, inv_t, neg_t):
-    r = mat.copy()
-    rows, cols = r.shape
-    piv_cols = []
-    npiv = 0
-    for c in range(cols):
-        if npiv == rows:
-            break
-        nz = np.nonzero(r[npiv:, c])[0]
-        if nz.size == 0:
-            continue
-        sel = npiv + int(nz[0])
-        if sel != npiv:
-            r[[npiv, sel]] = r[[sel, npiv]]
-        inv = inv_t[r[npiv, c]]
-        if inv != 1:
-            r[npiv] = mul_t[inv, r[npiv]]
-        factors = r[:, c].copy()
-        factors[npiv] = 0
-        r = add_t[r, mul_t[neg_t[factors][:, None], r[npiv][None, :]]]
-        piv_cols.append(c)
-        npiv += 1
-    return r, np.array(piv_cols, dtype=np.int64)
-
-
 def _matmul_batch_numpy(a, b, add_t, mul_t):
     nmat, n, kk = a.shape
     m = b.shape[2]
@@ -213,7 +104,7 @@ def _matmul_batch_numpy(a, b, add_t, mul_t):
 
 
 def _eliminate_batch_numpy(mats, add_t, mul_t, inv_t, neg_t, full):
-    """Shared batched Gaussian elimination; full=True reduces above pivots too."""
+    """Gaussian elimination of each matrix; full=True reduces above pivots too."""
     r = mats.copy()
     nmat, rows, cols = r.shape
     if nmat == 0 or rows == 0 or cols == 0:
@@ -246,38 +137,31 @@ def _eliminate_batch_numpy(mats, add_t, mul_t, inv_t, neg_t, full):
     return r, pr
 
 
-def _rank_batch_numpy(mats, add_t, mul_t, inv_t, neg_t):
-    return _eliminate_batch_numpy(mats, add_t, mul_t, inv_t, neg_t, full=False)[1]
-
-
-def _rref_batch_numpy(mats, add_t, mul_t, inv_t, neg_t):
-    return _eliminate_batch_numpy(mats, add_t, mul_t, inv_t, neg_t, full=True)
-
-
 # ---------------------------------------------------------------------------
 # Backend registry and selection
 # ---------------------------------------------------------------------------
 
-_KERNEL_NAMES = ("matmul", "rref", "matmul_batch", "rank_batch", "rref_batch")
+_KERNEL_NAMES = ("matmul_batch", "rank_batch", "rref_batch")
 
-NUMPY_IMPL = SimpleNamespace(
-    name="numpy",
-    matmul=_matmul_numpy,
-    rref=_rref_numpy,
-    matmul_batch=_matmul_batch_numpy,
-    rank_batch=_rank_batch_numpy,
-    rref_batch=_rref_batch_numpy,
-)
+
+def _backend(name: str, matmul_batch, eliminate) -> SimpleNamespace:
+    """A backend's three kernels, from its product and its elimination."""
+
+    def rank_batch(mats, add_t, mul_t, inv_t, neg_t):
+        return eliminate(mats, add_t, mul_t, inv_t, neg_t, False)[1]
+
+    def rref_batch(mats, add_t, mul_t, inv_t, neg_t):
+        return eliminate(mats, add_t, mul_t, inv_t, neg_t, True)
+
+    return SimpleNamespace(
+        name=name, matmul_batch=matmul_batch, rank_batch=rank_batch, rref_batch=rref_batch
+    )
+
+
+NUMPY_IMPL = _backend("numpy", _matmul_batch_numpy, _eliminate_batch_numpy)
 
 #: Plain-python (un-jitted) loop kernels; slow, used as a reference in tests.
-REFERENCE_IMPL = SimpleNamespace(
-    name="reference",
-    matmul=_matmul_loops,
-    rref=_rref_loops,
-    matmul_batch=_matmul_batch_loops,
-    rank_batch=_rank_batch_loops,
-    rref_batch=_rref_batch_loops,
-)
+REFERENCE_IMPL = _backend("reference", _matmul_batch_loops, _eliminate_batch_loops)
 
 BACKENDS: dict[str, SimpleNamespace] = {"numpy": NUMPY_IMPL}
 
@@ -288,14 +172,7 @@ def _try_build_numba() -> SimpleNamespace | None:
     except ImportError:
         return None
     jit = lambda f: njit(cache=True, nogil=True)(f)  # noqa: E731
-    return SimpleNamespace(
-        name="numba",
-        matmul=jit(_matmul_loops),
-        rref=jit(_rref_loops),
-        matmul_batch=jit(_matmul_batch_loops),
-        rank_batch=jit(_rank_batch_loops),
-        rref_batch=jit(_rref_batch_loops),
-    )
+    return _backend("numba", jit(_matmul_batch_loops), jit(_eliminate_batch_loops))
 
 
 def _select_backend() -> str:
@@ -325,6 +202,18 @@ def _activate(name: str) -> None:
 
 
 _activate(BACKEND)
+
+
+def matmul(a, b, add_t, mul_t):
+    """Product of two matrices: a batch of one through the active matmul_batch."""
+    return matmul_batch(a[None], b[None], add_t, mul_t)[0]
+
+
+def rref(mat, add_t, mul_t, inv_t, neg_t):
+    """RREF of one matrix and its pivot columns, through the active rref_batch."""
+    r, ranks = rref_batch(mat[None], add_t, mul_t, inv_t, neg_t)
+    r = r[0]
+    return r, np.array([np.flatnonzero(row)[0] for row in r[: ranks[0]]], dtype=np.int64)
 
 
 @contextlib.contextmanager

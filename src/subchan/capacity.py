@@ -231,7 +231,8 @@ def blahut_arimoto(
         lower = math.log(s)
         upper = math.log(float(c.max()))
         estimate_nats = lower
-        gap_nats = upper - lower
+        # upper >= lower exactly; float rounding can push the difference below 0.
+        gap_nats = max(upper - lower, 0.0)
         if gap_nats <= tol_nats:
             p = p * c / s
             p /= p.sum()

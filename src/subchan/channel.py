@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     DimensionMismatchError,
     DistributionInvalidError,
@@ -36,14 +37,12 @@ from .grassmann import (
     Subspace,
     contains,
     enumerate_grassmannian,
-    enumerate_subspaces_of,
     gaussian_coefficient,
-    random_ordered_basis,
     resolve_enum_cap,
-    span,
     subspace_label,
+    subspaces_of_batch,
 )
-from .matrix import matmul, sample_matrix_with_rank
+from .matrix import Mat, sample_full_rank_batch, sample_matrix_with_rank_batch
 
 __all__ = [
     "ChannelSpec",
@@ -61,6 +60,7 @@ __all__ = [
     "dmc_to_dict",
     "estimate_rank_def_dist",
     "simulate_one_use",
+    "simulate_uses",
     "transition_prob",
 ]
 
@@ -70,7 +70,7 @@ _SUM_TOLERANCE = 1e-9
 class RankDefDist:
     """Probability vector over transfer-matrix rank deficiencies r = 0..h.
 
-    Entries must be nonnegative and sum to 1 within 1e-9; the stored vector
+    Entries must be finite, nonnegative and sum to 1 within 1e-9; the stored vector
     is renormalized to sum exactly (up to float rounding) to 1.
     """
 
@@ -84,6 +84,8 @@ class RankDefDist:
             raise DistributionInvalidError(
                 f"rank deficiency distribution needs h+1 = {h + 1} entries, got shape {vec.shape}"
             )
+        if not np.all(np.isfinite(vec)):
+            raise DistributionInvalidError("rank deficiency probabilities must be finite")
         if np.any(vec < 0):
             raise DistributionInvalidError("rank deficiency probabilities must be nonnegative")
         total = float(vec.sum())
@@ -240,6 +242,15 @@ class OutputAlphabet:
             raise KeyError(f"subspace of dimension {v.dim} not in the output alphabet")
         return self.offsets[v.dim] + self.blocks[v.dim].index_of(v)
 
+    def positions(self, canon: np.ndarray, dims: np.ndarray) -> np.ndarray:
+        """Positions of a (n, h, T) stack of zero-padded canonical bases whose
+        row spaces have the (n,) dimensions ``dims``."""
+        out = np.empty(len(dims), dtype=np.int64)
+        for d, block in enumerate(self.blocks):
+            sel = dims == d
+            out[sel] = self.offsets[d] + block.indices(canon[sel, :d])
+        return out
+
     def subspace_at(self, j: int) -> Subspace:
         d = self.dim_of(j)
         return self.blocks[d][j - self.offsets[d]]
@@ -303,10 +314,9 @@ def build_dmc(spec: ChannelSpec, cap: int | None = None) -> Dmc:
     nx = len(input_index)
     support_by_dim = []
     for d in range(h + 1):
+        canon = subspaces_of_batch(f, input_index.bases, d, cap=cap)
         pat = np.zeros((nx, len(blocks[d])), dtype=bool)
-        for i, u in enumerate(input_index):
-            for v in enumerate_subspaces_of(u, d):
-                pat[i, blocks[d].index_of(v)] = True
+        pat[np.repeat(np.arange(nx), len(canon) // nx), blocks[d].indices(canon)] = True
         pat.setflags(write=False)
         support_by_dim.append(pat)
 
@@ -325,20 +335,38 @@ def build_dmc(spec: ChannelSpec, cap: int | None = None) -> Dmc:
     return Dmc(spec, input_index, output_index, trans, component, tuple(support_by_dim))
 
 
+def simulate_uses(
+    spec: ChannelSpec, u: Subspace, draws: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``draws`` channel uses of input u: returns the (draws, h, T) canonical
+    RREF output bases (zero-padded) and the (draws,) output dimensions.
+
+    The stream is consumed in a fixed order: all rank deficiencies, then all
+    basis selectors (uniform full-rank h x h matrices applied to u's canonical
+    basis, i.e. uniform ordered bases of u), then the transfer matrices,
+    grouped by ascending deficiency.
+    """
+    f, h = spec.field, spec.h
+    cdf = np.cumsum(spec.rank_def.probs)
+    defs = np.minimum(np.searchsorted(cdf, rng.random(draws), side="right"), h)
+    selectors = sample_full_rank_batch(f, h, h, draws, rng)
+    x = _kernels.matmul_batch(
+        selectors, np.repeat(u.basis.array[None, :, :], draws, axis=0), f.add_table, f.mul_table
+    )
+    g = np.zeros((draws, h, h), dtype=np.uint8)
+    for d in range(h + 1):
+        idx = np.nonzero(defs == d)[0]
+        if idx.size:
+            g[idx] = sample_matrix_with_rank_batch(f, h, h, h - d, idx.size, rng)
+    y = _kernels.matmul_batch(g, x, f.add_table, f.mul_table)
+    return _kernels.rref_batch(y, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+
+
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One operational channel use: random ordered basis, random transfer
-    matrix of the drawn rank deficiency, then the row space of the product."""
+    """One operational channel use: a batch of one of ``simulate_uses``."""
     _check_input_subspace(spec, u)
-    x = random_ordered_basis(u, rng)
-    r = _draw_deficiency(spec.rank_def, rng)
-    g = sample_matrix_with_rank(spec.field, spec.h, spec.h, spec.h - r, rng)
-    return span(matmul(g, x))
-
-
-def _draw_deficiency(dist: RankDefDist, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(dist.probs)
-    r = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(r, dist.h)
+    canon, dims = simulate_uses(spec, u, 1, rng)
+    return Subspace(spec.field, spec.T, Mat(spec.field, canon[0, : dims[0]]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -181,6 +181,8 @@ def cmd_simulate(args, parser) -> int:
     spec = _resolve_spec(args, parser)
     if args.draws < 1:
         parser.error(f"--draws must be >= 1, got {args.draws}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.pipeline:
         if args.format == "csv":
             parser.error("the pipeline report is JSON-only")

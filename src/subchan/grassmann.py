@@ -8,7 +8,8 @@ Enumeration order is part of the public contract: pivot column sets are
 visited in lexicographic order, and for each pivot set the free entries are
 filled like an odometer (row-major position list, last position spinning
 fastest).  Alphabet indices derived from this order are therefore stable
-across runs and platforms.
+across runs and platforms.  ``GrassmannianIndex.indices`` maps a stack of
+canonical bases to those indices in one call; ``index_of`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     AmbientMismatchError,
     DimensionMismatchError,
@@ -40,6 +42,7 @@ __all__ = [
     "random_ordered_basis",
     "span",
     "subspace_label",
+    "subspaces_of_batch",
 ]
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -185,6 +188,8 @@ class GrassmannianIndex:
     """Deterministic bijection between [0, |P(F_q^T, ell)|) and subspaces.
 
     Materialized eagerly; refuse construction beyond the enumeration cap.
+    ``bases`` stacks the canonical bases, shape (size, ell, T); ``indices``
+    maps a stack of canonical bases back to their positions.
     """
 
     def __init__(self, field: GF, ambient_dim: int, dim: int, subspaces: tuple[Subspace, ...]):
@@ -192,7 +197,10 @@ class GrassmannianIndex:
         self.ambient_dim = ambient_dim
         self.dim = dim
         self._subspaces = subspaces
-        self._lookup = {s: i for i, s in enumerate(subspaces)}
+        self.bases = np.array([s.basis.array for s in subspaces], dtype=np.uint8).reshape(
+            len(subspaces), dim, ambient_dim
+        )
+        self._lookup = {s._key[2]: i for i, s in enumerate(subspaces)}
 
     def __len__(self) -> int:
         return len(self._subspaces)
@@ -206,11 +214,30 @@ class GrassmannianIndex:
     def subspace_at(self, i: int) -> Subspace:
         return self._subspaces[i]
 
-    def index_of(self, s: Subspace) -> int:
+    def _missing(self) -> KeyError:
+        return KeyError(f"subspace not in P(F_{self.field.q}^{self.ambient_dim}, {self.dim})")
+
+    def indices(self, canon: np.ndarray) -> np.ndarray:
+        """Positions of a (n, dim, T) stack of canonical RREF bases over this
+        index's field.  The field is not checked: bases are plain arrays."""
+        canon = np.ascontiguousarray(canon, dtype=np.uint8)
+        if canon.shape[1:] != (self.dim, self.ambient_dim):
+            raise self._missing()
+        width = self.dim * self.ambient_dim
+        if width == 0:
+            keys = [b""] * len(canon)
+        else:
+            # Each basis as one bytes object, equal to its ndarray.tobytes().
+            keys = canon.reshape(len(canon), width).view(np.dtype((np.void, width))).ravel().tolist()
         try:
-            return self._lookup[s]
+            return np.fromiter(map(self._lookup.__getitem__, keys), dtype=np.int64, count=len(keys))
         except KeyError:
-            raise KeyError(f"subspace not in P(F_{self.field.q}^{self.ambient_dim}, {self.dim})") from None
+            raise self._missing() from None
+
+    def index_of(self, s: Subspace) -> int:
+        if s.field != self.field:
+            raise self._missing()
+        return int(self.indices(s.basis.array[None])[0])
 
     def __repr__(self):
         return (
@@ -265,13 +292,30 @@ def enumerate_grassmannian(
     return index
 
 
+def subspaces_of_batch(
+    field: GF, bases: np.ndarray, dim: int, cap: int | None = None
+) -> np.ndarray:
+    """Canonical bases of all dim-dimensional subspaces of each row space in
+    ``bases`` (a (n, h, T) stack of full-rank bases), as a (n * m, dim, T)
+    stack with m = C(h, dim)_q: input-major, each input's subspaces in the
+    order of the Grassmannian of F_q^h mapped through its basis."""
+    n, h, ambient_dim = bases.shape
+    inner = enumerate_grassmannian(field, h, dim, cap=cap).bases
+    m = len(inner)
+    left = np.broadcast_to(inner[None], (n, m, dim, h)).reshape(n * m, dim, h)
+    right = np.repeat(bases, m, axis=0)
+    f = field
+    product = _kernels.matmul_batch(left, right, f.add_table, f.mul_table)
+    return _kernels.rref_batch(product, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0]
+
+
 def enumerate_subspaces_of(u: Subspace, dim: int, cap: int | None = None) -> list[Subspace]:
     """All dim-dimensional subspaces of u, via the Grassmannian of F_q^{dim u}
     mapped through u's canonical basis."""
     if not 0 <= dim <= u.dim:
         raise DimensionMismatchError(f"requested dimension {dim} outside [0, {u.dim}]")
-    inner = enumerate_grassmannian(u.field, u.dim, dim, cap=cap)
-    return [span(matmul(c.basis, u.basis)) for c in inner]
+    canon = subspaces_of_batch(u.field, u.basis.array[None], dim, cap=cap)
+    return [Subspace(u.field, u.ambient_dim, Mat(u.field, c)) for c in canon]
 
 
 def random_ordered_basis(u: Subspace, rng: np.random.Generator) -> Mat:

@@ -6,6 +6,7 @@ represent bases of the zero space.
 
 Sampling takes a numpy ``Generator`` (``np.random.default_rng(seed)``); all
 randomness flows through it, so a fixed seed gives a fixed draw sequence.
+The samplers draw batches; a single-matrix draw is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ __all__ = [
     "rref",
     "rank",
     "sample_full_rank",
+    "sample_full_rank_batch",
     "sample_matrix_with_rank",
+    "sample_matrix_with_rank_batch",
 ]
 
 
@@ -113,39 +116,60 @@ def rank(m: Mat) -> int:
     return int(ranks[0])
 
 
-def sample_full_rank(field: GF, n: int, m: int, rng: np.random.Generator) -> Mat:
-    """Uniform draw over full-rank n x m matrices, by rejection.
+def sample_full_rank_batch(field: GF, n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count uniform draws over full-rank n x m matrices, as a (count, n, m)
+    array, by chunked rejection: draw exactly as many candidates as are still
+    missing, keep the full-rank ones in order.
 
-    Acceptance probability is prod_{i=1}^{min(n,m)} (1 - q^{i - min(n,m) - 1})
-    over uniform candidates, bounded below by ~0.288 at q = 2.
+    A uniform candidate is accepted with probability
+    prod_{i=0}^{k-1} (1 - q^{i - K}), k = min(n, m), K = max(n, m); this is
+    bounded below by ~0.288 at q = 2.
     """
     if n < 0 or m < 0:
         raise DimensionMismatchError("negative matrix dimension")
+    out = np.zeros((count, n, m), dtype=np.uint8)
     target = min(n, m)
-    if target == 0:
-        return Mat.zeros(field, n, m)
+    if count == 0 or target == 0:
+        return out
     f = field
-    while True:
-        cand = rng.integers(0, field.q, size=(n, m), dtype=np.uint8)
-        r = _kernels.rank_batch(cand[None], f.add_table, f.mul_table, f.inv_table, f.neg_table)
-        if int(r[0]) == target:
-            return Mat(field, cand)
+    filled = 0
+    while filled < count:
+        cand = rng.integers(0, f.q, size=(count - filled, n, m), dtype=np.uint8)
+        ranks = _kernels.rank_batch(cand, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+        good = cand[ranks == target]
+        out[filled : filled + good.shape[0]] = good
+        filled += good.shape[0]
+    return out
+
+
+def sample_matrix_with_rank_batch(
+    field: GF, n: int, m: int, rank_: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """count random n x m matrices of exactly the requested rank, as a
+    (count, n, m) array.
+
+    Each is A @ B with A (n x rank) and B (rank x m) uniform over full-rank
+    matrices of their shape; all A factors are drawn before all B factors.
+    The composite is not uniform over all rank-r matrices, which is
+    acceptable here: the subspace channel law is identical for every rank-r
+    realization, so only the rank matters.
+    """
+    if not 0 <= rank_ <= min(n, m):
+        raise InvalidRankError(f"rank {rank_} not in [0, {min(n, m)}] for {n}x{m}")
+    if rank_ == 0:
+        return np.zeros((count, n, m), dtype=np.uint8)
+    a = sample_full_rank_batch(field, n, rank_, count, rng)
+    b = sample_full_rank_batch(field, rank_, m, count, rng)
+    return _kernels.matmul_batch(a, b, field.add_table, field.mul_table)
+
+
+def sample_full_rank(field: GF, n: int, m: int, rng: np.random.Generator) -> Mat:
+    """Uniform draw over full-rank n x m matrices: a batch of one."""
+    return Mat(field, sample_full_rank_batch(field, n, m, 1, rng)[0])
 
 
 def sample_matrix_with_rank(
     field: GF, n: int, m: int, rank_: int, rng: np.random.Generator
 ) -> Mat:
-    """Random n x m matrix of exactly the requested rank.
-
-    Built as A @ B with A (n x rank) and B (rank x m) each uniform over
-    full-rank matrices of their shape.  The composite is not uniform over all
-    rank-r matrices, which is acceptable here: the subspace channel law is
-    identical for every rank-r realization, so only the rank matters.
-    """
-    if not 0 <= rank_ <= min(n, m):
-        raise InvalidRankError(f"rank {rank_} not in [0, {min(n, m)}] for {n}x{m}")
-    if rank_ == 0:
-        return Mat.zeros(field, n, m)
-    a = sample_full_rank(field, n, rank_, rng)
-    b = sample_full_rank(field, rank_, m, rng)
-    return matmul(a, b)
+    """Random n x m matrix of exactly the requested rank: a batch of one."""
+    return Mat(field, sample_matrix_with_rank_batch(field, n, m, rank_, 1, rng)[0])

@@ -1,13 +1,15 @@
 """Monte Carlo verification harness for the subspace channel.
 
-Simulates batches of channel uses per input subspace, tabulates empirical
-output frequencies, and scores them against the analytical transition law
-under the binomial model.
+Runs batches of channel uses per input subspace through
+``channel.simulate_uses``, tallies each use's output alphabet position, and
+scores the empirical frequencies against the analytical transition law under
+the binomial model.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
-is consumed in a fixed documented order (deficiency draws, then basis
-selectors, then transfer-matrix factors grouped by ascending deficiency).
+is consumed in the fixed order ``simulate_uses`` documents (deficiency draws,
+then basis selectors, then transfer-matrix factors grouped by ascending
+deficiency).
 Identical (spec, draws, seed) therefore reproduce the identical report, on
 either kernel backend: all randomness is drawn through numpy Generators at
 the orchestration layer and the kernels are exact integer functions.
@@ -20,13 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .capacity import CapacityReport, capacity_closed_form
-from .channel import ChannelSpec, RankDefDist, build_dmc, estimate_rank_def_dist
+from .channel import ChannelSpec, RankDefDist, build_dmc, estimate_rank_def_dist, simulate_uses
 from .errors import InsufficientDataError
-from .gf import GF
-from .grassmann import Subspace, enumerate_grassmannian, subspace_label
-from .matrix import Mat
+from .grassmann import enumerate_grassmannian, subspace_label
 
 __all__ = [
     "McCell",
@@ -42,59 +41,6 @@ __all__ = [
 def _substream(seed: int, input_index: int) -> np.random.Generator:
     """Per-input random stream: the master seed with the input index mixed in."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(input_index),)))
-
-
-def _tables(field: GF):
-    return field.add_table, field.mul_table, field.inv_table, field.neg_table
-
-
-def _batch_full_rank(field: GF, n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count uniform full-rank n x m matrices, by chunked rejection: draw
-    exactly as many candidates as are still missing, keep the full-rank ones."""
-    out = np.zeros((count, n, m), dtype=np.uint8)
-    target = min(n, m)
-    if count == 0 or target == 0:
-        return out
-    tables = _tables(field)
-    filled = 0
-    while filled < count:
-        cand = rng.integers(0, field.q, size=(count - filled, n, m), dtype=np.uint8)
-        good = cand[_kernels.rank_batch(cand, *tables) == target]
-        out[filled : filled + good.shape[0]] = good
-        filled += good.shape[0]
-    return out
-
-
-def _batch_with_rank(field: GF, n: int, m: int, rank_: int, count: int, rng) -> np.ndarray:
-    """count matrices of exactly the requested rank, as products of uniform
-    full-rank factors (same law as matrix.sample_matrix_with_rank)."""
-    if rank_ == 0:
-        return np.zeros((count, n, m), dtype=np.uint8)
-    a = _batch_full_rank(field, n, rank_, count, rng)
-    b = _batch_full_rank(field, rank_, m, count, rng)
-    return _kernels.matmul_batch(a, b, field.add_table, field.mul_table)
-
-
-def _simulate_outputs(
-    spec: ChannelSpec, u: Subspace, draws: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched channel uses: returns (draws, h, T) canonical RREF output
-    bases (zero-padded) and the (draws,) output dimensions."""
-    f, h, T = spec.field, spec.h, spec.T
-    cdf = np.cumsum(spec.rank_def.probs)
-    defs = np.minimum(np.searchsorted(cdf, rng.random(draws), side="right"), h).astype(np.int64)
-    selectors = _batch_full_rank(f, h, h, draws, rng)
-    x = _kernels.matmul_batch(
-        selectors, np.repeat(u.basis.array[None, :, :], draws, axis=0), f.add_table, f.mul_table
-    )
-    g = np.zeros((draws, h, h), dtype=np.uint8)
-    for d in range(h + 1):
-        idx = np.nonzero(defs == d)[0]
-        if idx.size:
-            g[idx] = _batch_with_rank(f, h, h, h - d, idx.size, rng)
-    y = _kernels.matmul_batch(g, x, f.add_table, f.mul_table)
-    canon, dims = _kernels.rref_batch(y, *_tables(f))
-    return canon, dims
 
 
 @dataclass(frozen=True)
@@ -142,7 +88,6 @@ def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     if draws_per_input < 1:
         raise InsufficientDataError(f"draws_per_input must be >= 1, got {draws_per_input}")
     dmc = build_dmc(spec)
-    f, h, T = spec.field, spec.h, spec.T
     n = draws_per_input
 
     cells: list[McCell] = []
@@ -153,14 +98,9 @@ def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     output_labels = dmc.output_index.labels()
 
     for i, u in enumerate(dmc.input_index):
-        canon, _dims = _simulate_outputs(spec, u, n, _substream(seed, i))
-        uniq, counts = np.unique(canon.reshape(n, h * T), axis=0, return_counts=True)
-        observed: dict[int, int] = {}
-        for row, cnt in zip(uniq, counts):
-            mat = row.reshape(h, T)
-            dim = int(np.count_nonzero(mat.any(axis=1)))
-            sub = Subspace(f, T, Mat(f, mat[:dim]))
-            observed[dmc.output_index.position(sub)] = int(cnt)
+        canon, dims = simulate_uses(spec, u, n, _substream(seed, i))
+        tally = np.bincount(dmc.output_index.positions(canon, dims), minlength=dmc.num_outputs)
+        observed = {int(j): int(tally[j]) for j in np.flatnonzero(tally)}
         support = set(np.nonzero(dmc.trans[i])[0].tolist())
         for j in sorted(support | set(observed)):
             p = float(dmc.trans[i, j])
@@ -205,7 +145,7 @@ def empirical_capacity_pipeline(
     if draws < 1:
         raise InsufficientDataError(f"draws must be >= 1, got {draws}")
     first = enumerate_grassmannian(spec.field, spec.T, spec.h)[0]
-    _canon, dims = _simulate_outputs(spec, first, draws, _substream(seed, 0))
+    _canon, dims = simulate_uses(spec, first, draws, _substream(seed, 0))
     deficiencies = (spec.h - dims).astype(np.int64)
     est = estimate_rank_def_dist(deficiencies.tolist(), spec.h, kind="deficiency")
     counts = np.bincount(deficiencies, minlength=spec.h + 1)

@@ -88,10 +88,10 @@ def _warm_kernels():
     t = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
     a = np.array([[1, 0], [1, 1]], dtype=np.uint8)
     for name in _kernels.BACKENDS:
-        impl = _kernels.BACKENDS[name]
-        impl.matmul(a, a, *t[:2])
-        impl.rref(a, *t)
-        impl.matmul_batch(a[None], a[None], *t[:2])
-        impl.rank_batch(a[None], *t)
-        impl.rref_batch(a[None], *t)
+        with _kernels.use_backend(name) as impl:
+            _kernels.matmul(a, a, *t[:2])
+            _kernels.rref(a, *t)
+            impl.matmul_batch(a[None], a[None], *t[:2])
+            impl.rank_batch(a[None], *t)
+            impl.rref_batch(a[None], *t)
     yield

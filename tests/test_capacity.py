@@ -177,6 +177,12 @@ class TestMutualInformation:
 
 
 class TestBlahutArimoto:
+    def test_gap_bound_is_never_negative(self):
+        # The bounds coincide at the uniform optimum of this channel, and
+        # rounding puts the unclamped difference at about -3e-16.
+        sol = blahut_arimoto(build_dmc(_spec([0.492, 0.186, 0.322])), tol=1e-12)
+        assert sol.gap_bound >= 0.0
+
     def test_noiseless_binary_channel(self):
         sol = blahut_arimoto(np.eye(2), tol=1e-12)
         assert sol.capacity_estimate == pytest.approx(1.0, abs=1e-12)

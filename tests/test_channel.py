@@ -66,6 +66,13 @@ class TestRankDefDist:
         with pytest.raises(DistributionInvalidError):
             RankDefDist(2, [0.5, 0.3, 0.1])
 
+    @pytest.mark.parametrize(
+        "probs", [[np.nan] * 3, [1.0, 0.0, np.nan], [np.inf, 0.0, 0.0], [0.5, -np.inf, 0.5]]
+    )
+    def test_non_finite_entries_rejected(self, probs):
+        with pytest.raises(DistributionInvalidError, match="finite"):
+            RankDefDist(2, probs)
+
     def test_normalization_is_exact_enough(self):
         d = RankDefDist(2, [0.2, 0.3, 0.5 + 4e-10])
         assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
@@ -195,6 +202,18 @@ class TestBuildDmc:
         assert all(
             dmc.component_of_output[j] == MIXED.h - dims[j] for j in range(dmc.num_outputs)
         )
+
+    @pytest.mark.parametrize("q, T, h", [(2, 3, 2), (3, 4, 2), (4, 3, 3)])
+    def test_batched_positions_agree_with_position(self, q, T, h):
+        alphabet = build_dmc(_spec(RankDefDist.uniform(h).probs, q, T, h)).output_index
+        outputs = list(alphabet)[::-1]
+        canon = np.zeros((len(outputs), h, T), dtype=np.uint8)
+        for k, v in enumerate(outputs):
+            canon[k, : v.dim] = v.basis.array
+        dims = np.array([v.dim for v in outputs])
+        expected = [alphabet.position(v) for v in outputs]
+        assert expected == list(range(len(alphabet)))[::-1]
+        assert alphabet.positions(canon, dims).tolist() == expected
 
     def test_rows_are_permutations_of_each_other(self):
         for spec in (DELTA0, DELTA1, MIXED):

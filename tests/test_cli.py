@@ -54,6 +54,24 @@ class TestCapacity:
         expected = 0.5 * math.log2(7) + 0.3 * math.log2(7 / 3)
         assert payload["capacity"] == pytest.approx(expected, abs=1e-12)
 
+    def test_verify_json_gap_bound_never_negative(self, capsys):
+        # Blahut-Arimoto's upper and lower bounds round to a difference of
+        # about -3e-16 on this spec; the schema requires a gap bound >= 0.
+        argv = ["capacity", "--q", "2", "--T", "3", "--h", "2", "--rank-def", "0.492,0.186,0.322"]
+        code, out, _ = _run(capsys, [*argv, "--verify", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, _schema("capacity_report.schema.json"))
+        assert payload["verification"]["ba_gap_bound"] >= 0.0
+
+    def test_non_finite_rank_def_exit_2(self, capsys):
+        for vec in ("nan,nan,nan", "inf,0,0", "0.5,nan,0.5"):
+            code, out, err = _run(capsys, ["capacity", "--q", "2", "--T", "3", "--h", "2",
+                                           "--rank-def", vec, "--format", "json"])
+            assert code == 2, vec
+            assert out == ""
+            assert "finite" in err
+
     def test_log_base_q(self, capsys):
         code, out, _ = _run(capsys, ["capacity", *INLINE, "--log-base", "q", "--format", "json"])
         assert code == 0
@@ -187,6 +205,13 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc_info:
             _run(capsys, ["simulate", *INLINE, "--draws", "0"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--pipeline"]])
+    def test_negative_seed_exit_2(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", *INLINE, "--draws", "10", "--seed", "-1", *extra])
+        assert exc_info.value.code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 class TestCount:

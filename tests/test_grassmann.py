@@ -147,6 +147,34 @@ class TestEnumerateGrassmannian:
         with pytest.raises(KeyError):
             idx.index_of(Subspace.zero(GF(3), 4))
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_batched_indices_agree_with_index_of(self, q):
+        f = GF(q)
+        for t in range(6):
+            for ell in range(t + 1):
+                idx = enumerate_grassmannian(f, t, ell)
+                expected = [idx.index_of(s) for s in idx]
+                assert expected == list(range(len(idx)))
+                assert idx.indices(idx.bases).tolist() == expected
+                reversed_stack = np.stack([s.basis.array for s in reversed(list(idx))])
+                assert idx.indices(reversed_stack).tolist() == expected[::-1]
+
+    def test_index_of_rejects_equal_bytes_from_another_field(self):
+        idx = enumerate_grassmannian(F2, 3, 2)
+        same_bytes = Subspace(GF(3), 3, Mat.from_rows(GF(3), idx[0].basis.array))
+        assert same_bytes.basis.array.tobytes() == idx[0].basis.array.tobytes()
+        with pytest.raises(KeyError):
+            idx.index_of(same_bytes)
+
+    def test_index_of_rejects_other_ambient_or_dimension(self):
+        idx = enumerate_grassmannian(F2, 3, 2)
+        with pytest.raises(KeyError):
+            idx.index_of(span(Mat.from_rows(F2, [[1, 0], [0, 1]])))
+        with pytest.raises(KeyError):
+            idx.index_of(span(Mat.from_rows(F2, [[1, 0, 0, 0, 0, 0]])))
+        with pytest.raises(KeyError):
+            idx.indices(np.zeros((1, 2, 3), dtype=np.uint8))
+
     def test_enumeration_order_is_stable(self):
         labels = [subspace_label(s) for s in enumerate_grassmannian(F2, 3, 2)]
         # Pivot sets in lexicographic order: (0,1), (0,2), (1,2); free entries

@@ -35,9 +35,10 @@ def test_backends_agree_on_rref_and_rank(q, shape):
     mats = _random_mats(q, 40, n, m, seed=q * 100 + n * 10 + m)
     results = []
     for impl in _impls():
-        rs, ranks = impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
-        ranks2 = impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t)
-        singles = [impl.rref(mats[i], add_t, mul_t, inv_t, neg_t) for i in range(len(mats))]
+        with _kernels.use_backend(impl.name):
+            rs, ranks = impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
+            ranks2 = impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t)
+            singles = [_kernels.rref(mats[i], add_t, mul_t, inv_t, neg_t) for i in range(len(mats))]
         results.append((rs, ranks, ranks2, singles))
     ref_rs, ref_ranks, ref_ranks2, ref_singles = results[0]
     assert np.array_equal(ref_ranks, ref_ranks2)
@@ -59,7 +60,10 @@ def test_backends_agree_on_matmul(q):
     for out in outs[1:]:
         assert np.array_equal(out, outs[0])
     for i in range(len(a)):
-        single = [impl.matmul(a[i], b[i], add_t, mul_t) for impl in _impls()]
+        single = []
+        for impl in _impls():
+            with _kernels.use_backend(impl.name):
+                single.append(_kernels.matmul(a[i], b[i], add_t, mul_t))
         for s in single:
             assert np.array_equal(s, outs[0][i])
 
@@ -74,10 +78,12 @@ def test_backends_match_reference_loops(q):
     ref = _kernels.REFERENCE_IMPL
     ref_rref, ref_ranks = ref.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
     ref_mm = ref.matmul_batch(a, b, add_t, mul_t)
+    assert np.array_equal(ref.rank_batch(mats, add_t, mul_t, inv_t, neg_t), ref_ranks)
     for impl in _impls():
         rs, ranks = impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
         assert np.array_equal(rs, ref_rref)
         assert np.array_equal(ranks, ref_ranks)
+        assert np.array_equal(impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t), ref_ranks)
         assert np.array_equal(impl.matmul_batch(a, b, add_t, mul_t), ref_mm)
 
 
