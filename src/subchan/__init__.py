@@ -42,6 +42,7 @@ from .errors import (
     EnumerationTooLargeError,
     FieldMismatchError,
     InsufficientDataError,
+    InvalidParameterError,
     InvalidRankError,
     NonConvergenceError,
     NotPrimePowerError,

@@ -9,6 +9,14 @@ above the pivots only for RREF.  The two sources are
   un-jitted as the reference in tests;
 * vectorized pure-numpy implementations used as the fallback.
 
+The numpy kernels take a packed path over GF(2) when the matrix has 1 to 64
+columns: each row is one ``uint64`` (column c is bit cols-1-c, so a row's
+leftmost nonzero entry is its highest set bit), row addition is one XOR,
+elimination clears each row's highest bit from the other rows of its matrix,
+and the product XORs the packed rows of ``b`` that ``a`` selects, as in
+M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).  Other fields and wider
+matrices use the table elimination.
+
 ``matmul`` and ``rref`` act on one matrix: each is a batch of one through the
 active backend.
 
@@ -94,7 +102,75 @@ def _eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, full):
 # Vectorized pure-numpy implementations
 # ---------------------------------------------------------------------------
 
+def _packs_gf2(add_t, cols):
+    """Whether the numpy kernels take the packed GF(2) path for this width."""
+    return add_t.shape[0] == 2 and 1 <= cols <= 64
+
+
+def _pack_gf2(mats):
+    """Rows of a (..., cols) 0/1 array as uint64 words, column c at bit cols-1-c."""
+    cols = mats.shape[-1]
+    nbytes = (cols + 7) // 8
+    lead = mats.shape[:-1]
+    # Left-pad each row to whole bytes, so one flat packbits packs every row.
+    bits = np.zeros(lead + (8 * nbytes,), dtype=np.uint8)
+    bits[..., 8 * nbytes - cols :] = mats
+    words = np.zeros(lead + (8,), dtype=np.uint8)
+    words[..., 8 - nbytes :] = np.packbits(bits.reshape(-1)).reshape(lead + (nbytes,))
+    return words.view(">u8")[..., 0].astype(np.uint64)
+
+
+def _unpack_gf2(words, cols):
+    """Inverse of _pack_gf2: (...,) uint64 words to a (..., cols) uint8 array."""
+    nbytes = (cols + 7) // 8
+    big = words.astype(">u8")[..., None].view(np.uint8)[..., 8 - nbytes :]
+    bits = np.unpackbits(np.ascontiguousarray(big).reshape(-1))
+    return np.ascontiguousarray(bits.reshape(words.shape + (8 * nbytes,))[..., 8 * nbytes - cols :])
+
+
+def _high_bit(words, cols):
+    """The highest set bit of each word below 2**cols (0 for a zero word)."""
+    shift = 1
+    while shift < cols:
+        words = words | (words >> shift)
+        shift *= 2
+    return words ^ (words >> 1)
+
+
+def _matmul_gf2_packed(a, b):
+    packed_b = _pack_gf2(b)
+    out = np.zeros(a.shape[:2], dtype=np.uint64)
+    for t in range(a.shape[2]):
+        out ^= a[:, :, t] * packed_b[:, t, None]
+    return _unpack_gf2(out, b.shape[2])
+
+
+def _eliminate_gf2_packed(mats, full):
+    """Elimination on packed rows; row i's highest bit is cleared from the
+    later rows, or for full=True from all other rows, so the nonzero rows
+    end with distinct leading bits."""
+    nmat, rows, cols = mats.shape
+    words = _pack_gf2(mats)
+    for i in range(rows if full else rows - 1):
+        piv = words[:, i]
+        rest = words if full else words[:, i + 1 :]
+        hit = (rest & _high_bit(piv, cols)[:, None]) != 0
+        if full:
+            hit[:, i] = False
+        rest ^= piv[:, None] * hit
+    ranks = np.zeros(nmat, dtype=np.int64)
+    for i in range(rows):
+        ranks += words[:, i] != 0
+    if not full:
+        return None, ranks
+    # Descending words order the rows by leading column, zero rows last.
+    words.sort(axis=1)
+    return _unpack_gf2(words[:, ::-1], cols), ranks
+
+
 def _matmul_batch_numpy(a, b, add_t, mul_t):
+    if _packs_gf2(add_t, b.shape[2]):
+        return _matmul_gf2_packed(a, b)
     nmat, n, kk = a.shape
     m = b.shape[2]
     out = np.zeros((nmat, n, m), dtype=np.uint8)
@@ -105,6 +181,8 @@ def _matmul_batch_numpy(a, b, add_t, mul_t):
 
 def _eliminate_batch_numpy(mats, add_t, mul_t, inv_t, neg_t, full):
     """Gaussian elimination of each matrix; full=True reduces above pivots too."""
+    if _packs_gf2(add_t, mats.shape[2]):
+        return _eliminate_gf2_packed(mats, full)
     r = mats.copy()
     nmat, rows, cols = r.shape
     if nmat == 0 or rows == 0 or cols == 0:

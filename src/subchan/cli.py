@@ -12,7 +12,7 @@ where p(r) is the probability that the transfer matrix has rank h - r.
 
 Exit codes: 0 success, 2 usage or spec error, 3 verification failure.
 The enumeration cap (default 1e6 subspaces) can be overridden with the
-SUBCHAN_ENUM_CAP environment variable.
+SUBCHAN_ENUM_CAP environment variable, an integer >= 1 (else exit 2).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+import numpy as np
+
 
 class SubchanError(Exception):
     """Base class for all package-specific errors."""
@@ -45,6 +47,10 @@ class NotRowStochasticError(SubchanError, ValueError):
     """A transition matrix has negative entries or rows not summing to one."""
 
 
+class InvalidParameterError(SubchanError, ValueError):
+    """An argument, matrix entry or setting has the wrong type or value."""
+
+
 class NonConvergenceError(SubchanError, RuntimeError):
     """Iterative solver hit its iteration cap before reaching tolerance.
 
@@ -54,3 +60,14 @@ class NonConvergenceError(SubchanError, RuntimeError):
     def __init__(self, message, solution=None):
         super().__init__(message)
         self.solution = solution
+
+
+def _check_int(name: str, value, minimum: int, error=InvalidParameterError) -> int:
+    """value as an int; a non-integer (bool included) raises
+    InvalidParameterError, an integer below minimum raises ``error``."""
+    message = f"{name} must be an integer >= {minimum}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(message)
+    if value < minimum:
+        raise error(message)
+    return int(value)

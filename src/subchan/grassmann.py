@@ -26,6 +26,8 @@ from .errors import (
     AmbientMismatchError,
     DimensionMismatchError,
     EnumerationTooLargeError,
+    InvalidParameterError,
+    _check_int,
 )
 from .gf import GF, _factor_prime_power
 from .matrix import Mat, matmul, rank, rref, sample_full_rank
@@ -52,11 +54,22 @@ _DIGITS = "0123456789abcdef"
 
 
 def resolve_enum_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: explicit arg, else SUBCHAN_ENUM_CAP, else default."""
+    """Effective enumeration cap: explicit arg, else SUBCHAN_ENUM_CAP, else default.
+
+    Either source must be an integer >= 1 (InvalidParameterError otherwise).
+    """
     if cap is not None:
-        return int(cap)
+        return _check_int("cap", cap, 1)
     env = os.environ.get(_ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InvalidParameterError(f"{_ENUM_CAP_ENV} must be an integer >= 1, got {env!r}")
+    return value
 
 
 def gaussian_coefficient(n: int, ell: int, q: int) -> int:

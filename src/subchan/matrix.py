@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatchError, FieldMismatchError, InvalidRankError
+from .errors import DimensionMismatchError, FieldMismatchError, InvalidParameterError, InvalidRankError
 from .gf import GF
 
 __all__ = [
@@ -39,12 +39,21 @@ class Mat:
     array: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.array, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(f"matrix must be 2-D, got shape {arr.shape}")
-        if arr.size and arr.max() >= self.field.q:
-            raise ValueError(f"entry {arr.max()} outside GF({self.field.q})")
-        arr = arr.copy()
+        raw = np.asarray(self.array)
+        if raw.ndim != 2:
+            raise DimensionMismatchError(f"matrix must be 2-D, got shape {raw.shape}")
+        q = self.field.q
+        if raw.dtype.kind not in "biuf":
+            raise InvalidParameterError(f"entries of dtype {raw.dtype} are not elements of GF({q})")
+        # Checked before the uint8 cast, which would wrap negative and large
+        # entries and truncate fractional ones.
+        if raw.size and not (raw.dtype == np.uint8 and raw.max() < q):
+            valid = (raw >= 0) & (raw < q)
+            if raw.dtype.kind == "f":
+                valid &= raw == np.floor(raw)
+            if not valid.all():
+                raise InvalidParameterError(f"entry {raw[~valid][0].item()!r} is not an element of GF({q})")
+        arr = np.array(raw, dtype=np.uint8, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
@@ -58,7 +67,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, field: GF, rows) -> "Mat":
-        arr = np.array(rows, dtype=np.uint8)
+        arr = np.array(rows)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         return cls(field, arr)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .capacity import CapacityReport, capacity_closed_form
 from .channel import ChannelSpec, RankDefDist, build_dmc, estimate_rank_def_dist, simulate_uses
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, _check_int
 from .grassmann import enumerate_grassmannian, subspace_label
 
 __all__ = [
@@ -85,10 +85,9 @@ def _cell_z(count: int, draws: int, p: float) -> float:
 def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     """Simulate draws_per_input channel uses for every input subspace and
     score the empirical law against the analytical one."""
-    if draws_per_input < 1:
-        raise InsufficientDataError(f"draws_per_input must be >= 1, got {draws_per_input}")
+    n = _check_int("draws_per_input", draws_per_input, 1, InsufficientDataError)
+    seed = _check_int("seed", seed, 0)
     dmc = build_dmc(spec)
-    n = draws_per_input
 
     cells: list[McCell] = []
     max_dev = 0.0
@@ -142,8 +141,8 @@ def empirical_capacity_pipeline(
     law is the same for every input, so any fixed input estimates the same
     distribution.
     """
-    if draws < 1:
-        raise InsufficientDataError(f"draws must be >= 1, got {draws}")
+    draws = _check_int("draws", draws, 1, InsufficientDataError)
+    seed = _check_int("seed", seed, 0)
     first = enumerate_grassmannian(spec.field, spec.T, spec.h)[0]
     _canon, dims = simulate_uses(spec, first, draws, _substream(seed, 0))
     deficiencies = (spec.h - dims).astype(np.int64)

@@ -214,6 +214,20 @@ class TestSimulate:
         assert "--seed must be >= 0" in capsys.readouterr().err
 
 
+class TestEnumCapEnvironment:
+    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["capacity", *INLINE, "--verify"], ["matrix", *INLINE], ["simulate", *INLINE, "--draws", "10"]],
+    )
+    def test_bad_enum_cap_exit_2(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("SUBCHAN_ENUM_CAP", value)
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: SUBCHAN_ENUM_CAP must be an integer >= 1, got {value!r}"]
+
+
 class TestCount:
     @pytest.mark.parametrize(
         "args, expected",

@@ -13,7 +13,12 @@ from conftest import (
     chi2_statistic,
     subspace_vectors,
 )
-from subchan.errors import AmbientMismatchError, DimensionMismatchError, EnumerationTooLargeError
+from subchan.errors import (
+    AmbientMismatchError,
+    DimensionMismatchError,
+    EnumerationTooLargeError,
+    SubchanError,
+)
 from subchan.gf import GF
 from subchan.grassmann import (
     Subspace,
@@ -191,6 +196,19 @@ class TestEnumerateGrassmannian:
             enumerate_grassmannian(F2, 3, 2)
         monkeypatch.setenv("SUBCHAN_ENUM_CAP", "10")
         assert len(enumerate_grassmannian(F2, 3, 2)) == 7
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "1e6", "0", "-5"])
+    def test_bad_cap_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("SUBCHAN_ENUM_CAP", value)
+        with pytest.raises(SubchanError, match="SUBCHAN_ENUM_CAP must be an integer >= 1") as exc_info:
+            enumerate_grassmannian(F2, 3, 2)
+        assert isinstance(exc_info.value, ValueError)
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, 10.0, True, "10"])
+    def test_bad_explicit_cap_rejected(self, cap):
+        with pytest.raises(SubchanError, match="cap must be an integer >= 1") as exc_info:
+            enumerate_grassmannian(F2, 3, 2, cap=cap)
+        assert isinstance(exc_info.value, ValueError)
 
 
 class TestContains:

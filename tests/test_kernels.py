@@ -1,13 +1,17 @@
 """Kernel backends: numba and numpy paths must agree bit-for-bit, and both
 must agree with the plain-python reference loops."""
 
+import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
 
 from subchan import _kernels
+from subchan.channel import ChannelSpec, RankDefDist
 from subchan.gf import GF
+from subchan.mc import mc_report_to_dict, run_mc
 
 FIELDS = [2, 3, 4, 5, 9]
 SHAPES = [(1, 1), (2, 2), (2, 3), (3, 2), (4, 5), (0, 3), (3, 0), (1, 6)]
@@ -85,6 +89,79 @@ def test_backends_match_reference_loops(q):
         assert np.array_equal(ranks, ref_ranks)
         assert np.array_equal(impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t), ref_ranks)
         assert np.array_equal(impl.matmul_batch(a, b, add_t, mul_t), ref_mm)
+
+
+# Widths around the byte and word boundaries of the packed GF(2) path, and
+# 65 columns, which falls back to the table elimination.
+PACKED_COLS = [1, 7, 8, 9, 16, 17, 63, 64, 65]
+
+
+def _gf2_mats(rng, count, rows, cols):
+    """Random 0/1 matrices: a third dense, a third sparse (zero rows and rank
+    deficiency), a third with the last row repeating the first."""
+    mats = rng.integers(0, 2, size=(count, rows, cols), dtype=np.uint8)
+    mats[1::3] &= rng.integers(0, 2, size=mats[1::3].shape, dtype=np.uint8)
+    mats[1::3] &= rng.integers(0, 2, size=mats[1::3].shape, dtype=np.uint8)
+    if rows > 1:
+        mats[2::3, -1] = mats[2::3, 0]
+    return mats
+
+
+@pytest.mark.parametrize("cols", PACKED_COLS)
+def test_gf2_numpy_kernels_match_reference_loops(cols):
+    add_t, mul_t, inv_t, neg_t = _tables(2)
+    ref, impl = _kernels.REFERENCE_IMPL, _kernels.NUMPY_IMPL
+    rng = np.random.default_rng(cols)
+    count = 12 if cols < 32 else 6
+    for rows in [0, 1, 2, 3, 4, 5, 6, cols + 1]:
+        mats = _gf2_mats(rng, count, rows, cols)
+        ref_rref, ref_ranks = ref.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
+        rs, ranks = impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
+        assert rs.dtype == np.uint8 and rs.flags.c_contiguous
+        assert np.array_equal(rs, ref_rref), rows
+        assert np.array_equal(ranks, ref_ranks), rows
+        assert np.array_equal(impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t), ref_ranks), rows
+        a = _gf2_mats(rng, count, 3, rows)
+        mm = impl.matmul_batch(a, mats, add_t, mul_t)
+        assert mm.dtype == np.uint8
+        assert np.array_equal(mm, ref.matmul_batch(a, mats, add_t, mul_t)), rows
+
+
+@pytest.mark.parametrize("cols, packed", [(64, True), (65, False)])
+def test_gf2_packed_path_taken_up_to_64_columns(monkeypatch, cols, packed):
+    add_t, mul_t, inv_t, neg_t = _tables(2)
+    mats = _gf2_mats(np.random.default_rng(0), 3, 2, cols)
+    taken = []
+    for name in ("_eliminate_gf2_packed", "_matmul_gf2_packed"):
+        original = getattr(_kernels, name)
+
+        def spy(*args, _original=original, _name=name):
+            taken.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    impl = _kernels.NUMPY_IMPL
+    impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
+    impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t)
+    impl.matmul_batch(mats[:, :, :2], mats, add_t, mul_t)
+    expected = ["_eliminate_gf2_packed", "_eliminate_gf2_packed", "_matmul_gf2_packed"]
+    assert taken == (expected if packed else [])
+
+
+# sha256 of json.dumps(mc_report_to_dict(run_mc(spec, 2000, 1)), sort_keys=True),
+# recorded with the table-driven GF(2) elimination: the packed kernels must
+# reproduce every seeded report bit for bit.
+@pytest.mark.parametrize(
+    "T, h, rank_def, digest",
+    [
+        (4, 2, (0.5, 0.3, 0.2), "d2f69fcc4e5fa45e7b6be163caebd6cbff1e616c743a60ab9fa26ac9a5c1aeb5"),
+        (5, 3, (0.4, 0.3, 0.2, 0.1), "8702c5cec3468023b02877fe8f3b706341037e8b5b455f1bbd991d60e2f34391"),
+    ],
+)
+def test_gf2_mc_report_golden_hash(T, h, rank_def, digest):
+    report = run_mc(ChannelSpec(GF(2), T, h, RankDefDist(h, rank_def)), 2000, 1)
+    text = json.dumps(mc_report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_rref_is_idempotent_and_preserves_pivot_structure():

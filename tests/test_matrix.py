@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CHI2_CRIT_P001, all_matrices, chi2_statistic
-from subchan.errors import DimensionMismatchError, FieldMismatchError, InvalidRankError
+from subchan.errors import DimensionMismatchError, FieldMismatchError, InvalidRankError, SubchanError
 from subchan.gf import GF
 from subchan.grassmann import span, subspace_label
 from subchan.matrix import (
@@ -182,6 +182,28 @@ class TestMatValidation:
     def test_entries_must_fit_field(self):
         with pytest.raises(ValueError):
             Mat.from_rows(F2, [[0, 2]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.7, 0]], [[np.nan, 0]], [[-1, 0]], [[3, 0]], [[300, 0]]],
+        ids=["non-integral", "nan", "negative", "equal-to-q", "beyond-uint8"],
+    )
+    def test_bad_entries_rejected(self, rows):
+        with pytest.raises(SubchanError, match="GF\\(3\\)") as exc_info:
+            Mat.from_rows(GF(3), rows)
+        assert isinstance(exc_info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.array([[1.5, 0.0]]), np.array([[-1, 0]], dtype=np.int64), np.array([[0, 3]], dtype=np.int8)],
+        ids=["float", "negative-int64", "int8-equal-to-q"],
+    )
+    def test_bad_array_entries_rejected(self, array):
+        with pytest.raises(SubchanError):
+            Mat(GF(3), array)
+
+    def test_integral_floats_accepted(self):
+        assert Mat.from_rows(GF(3), [[2.0, 0.0]]) == Mat.from_rows(GF(3), [[2, 0]])
 
     def test_arrays_are_frozen(self):
         m = Mat.from_rows(F2, [[1, 0]])

@@ -7,12 +7,14 @@ z-score threshold (4 on the large runs, 5 on the small multi-seed grid)
 keeps the false-alarm probability per suite below one percent.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from subchan import _kernels
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc
-from subchan.errors import InsufficientDataError
+from subchan.errors import InsufficientDataError, SubchanError
 from subchan.gf import GF
 from subchan.mc import (
     empirical_capacity_pipeline,
@@ -73,6 +75,21 @@ class TestRunMcStructure:
     def test_draw_count_validated(self):
         with pytest.raises(InsufficientDataError):
             run_mc(MIXED, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "draws, seed",
+        [(10, -3), (10, 1.5), (10, "1"), (10, True), (10.5, 1), (True, 1), ("10", 1)],
+        ids=["negative-seed", "float-seed", "str-seed", "bool-seed", "float-draws", "bool-draws", "str-draws"],
+    )
+    def test_bad_draws_or_seed_rejected(self, draws, seed):
+        with pytest.raises(SubchanError):
+            run_mc(DELTA1, draws, seed)
+        with pytest.raises(SubchanError):
+            empirical_capacity_pipeline(DELTA1, draws, seed)
+
+    def test_numpy_integer_draws_and_seed_accepted(self):
+        report = mc_report_to_dict(run_mc(DELTA1, np.int64(20), np.uint32(3)))
+        assert json.dumps(report) == json.dumps(mc_report_to_dict(run_mc(DELTA1, 20, 3)))
 
 
 class TestRunMcDeterminism:
