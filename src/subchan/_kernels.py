@@ -1,30 +1,20 @@
-"""Table-driven GF(q) matrix kernels: numba-jitted loops with a numpy fallback.
+"""Table-driven GF(q) matrix kernels in numpy.
 
-Each backend provides three batched kernels with identical semantics and
-bit-identical results: ``matmul_batch``, ``rank_batch`` and ``rref_batch``.
-Rank and RREF share one Gaussian elimination per backend, which reduces
-above the pivots only for RREF.  The two sources are
+Three batched kernels carry every matrix computation of the package:
+``matmul_batch``, ``rank_batch`` and ``rref_batch``.  Rank and RREF share
+one Gaussian elimination, which reduces above the pivots only for RREF.
 
-* loop implementations, compiled with ``numba.njit`` when available and run
-  un-jitted as the reference in tests;
-* vectorized pure-numpy implementations used as the fallback.
+Over GF(2), a matrix with 1 to 64 columns takes a packed path: each row is
+one ``uint64`` (column c is bit cols-1-c, so a row's leftmost nonzero entry
+is its highest set bit), row addition is one XOR, elimination clears each
+row's highest bit from the other rows of its matrix, and the product XORs
+the packed rows of ``b`` that ``a`` selects, as in M4RI (Albrecht, Bard and
+Hart, ACM TOMS 2010).  Other fields and wider matrices use the table
+elimination.
 
-The numpy kernels take a packed path over GF(2) when the matrix has 1 to 64
-columns: each row is one ``uint64`` (column c is bit cols-1-c, so a row's
-leftmost nonzero entry is its highest set bit), row addition is one XOR,
-elimination clears each row's highest bit from the other rows of its matrix,
-and the product XORs the packed rows of ``b`` that ``a`` selects, as in
-M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).  Other fields and wider
-matrices use the table elimination.
-
-``matmul`` and ``rref`` act on one matrix: each is a batch of one through the
-active backend.
-
-Backend selection happens once at import time from the ``SUBCHAN_BACKEND``
-environment variable: ``numba`` forces the jitted path (raises if numba is
-missing), ``numpy`` forces the fallback, unset/``auto`` picks numba when
-importable.  ``use_backend`` swaps the active implementation at runtime,
-which the benchmark and the cross-backend tests rely on.
+``matmul`` and ``rref`` act on one matrix: each is a batch of one.  The
+plain-python loop kernels ``_matmul_batch_loops`` and
+``_eliminate_batch_loops`` are the reference the tests compare against.
 
 All kernels take matrices as 2-D/3-D uint8 arrays of element encodings plus
 the field's operation tables (see gf.GF): ``add_t``/``mul_t`` are (q, q)
@@ -33,19 +23,16 @@ uint8, ``inv_t``/``neg_t`` are (q,) uint8.
 
 from __future__ import annotations
 
-import contextlib
-import os
-from types import SimpleNamespace
-
 import numpy as np
 
-__all__ = ["BACKEND", "BACKENDS", "use_backend"]
+__all__ = ["BACKEND"]
 
-_ENV_VAR = "SUBCHAN_BACKEND"
+#: The kernels' implementation, recorded in benchmark results.
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# Loop implementations (numba sources; also the plain-python reference)
+# Loop implementations (the plain-python reference)
 # ---------------------------------------------------------------------------
 
 def _matmul_batch_loops(a, b, add_t, mul_t):
@@ -99,7 +86,7 @@ def _eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, full):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized pure-numpy implementations
+# Vectorized numpy implementations
 # ---------------------------------------------------------------------------
 
 def _packs_gf2(add_t, cols):
@@ -168,7 +155,8 @@ def _eliminate_gf2_packed(mats, full):
     return _unpack_gf2(words[:, ::-1], cols), ranks
 
 
-def _matmul_batch_numpy(a, b, add_t, mul_t):
+def matmul_batch(a, b, add_t, mul_t):
+    """Products a[s] @ b[s] of two (nmat, n, k) and (nmat, k, m) stacks."""
     if _packs_gf2(add_t, b.shape[2]):
         return _matmul_gf2_packed(a, b)
     nmat, n, kk = a.shape
@@ -179,7 +167,7 @@ def _matmul_batch_numpy(a, b, add_t, mul_t):
     return out
 
 
-def _eliminate_batch_numpy(mats, add_t, mul_t, inv_t, neg_t, full):
+def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):
     """Gaussian elimination of each matrix; full=True reduces above pivots too."""
     if _packs_gf2(add_t, mats.shape[2]):
         return _eliminate_gf2_packed(mats, full)
@@ -215,93 +203,23 @@ def _eliminate_batch_numpy(mats, add_t, mul_t, inv_t, neg_t, full):
     return r, pr
 
 
-# ---------------------------------------------------------------------------
-# Backend registry and selection
-# ---------------------------------------------------------------------------
-
-_KERNEL_NAMES = ("matmul_batch", "rank_batch", "rref_batch")
+def rank_batch(mats, add_t, mul_t, inv_t, neg_t):
+    """Rank of each matrix of a (nmat, rows, cols) stack, as int64."""
+    return _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, False)[1]
 
 
-def _backend(name: str, matmul_batch, eliminate) -> SimpleNamespace:
-    """A backend's three kernels, from its product and its elimination."""
-
-    def rank_batch(mats, add_t, mul_t, inv_t, neg_t):
-        return eliminate(mats, add_t, mul_t, inv_t, neg_t, False)[1]
-
-    def rref_batch(mats, add_t, mul_t, inv_t, neg_t):
-        return eliminate(mats, add_t, mul_t, inv_t, neg_t, True)
-
-    return SimpleNamespace(
-        name=name, matmul_batch=matmul_batch, rank_batch=rank_batch, rref_batch=rref_batch
-    )
-
-
-NUMPY_IMPL = _backend("numpy", _matmul_batch_numpy, _eliminate_batch_numpy)
-
-#: Plain-python (un-jitted) loop kernels; slow, used as a reference in tests.
-REFERENCE_IMPL = _backend("reference", _matmul_batch_loops, _eliminate_batch_loops)
-
-BACKENDS: dict[str, SimpleNamespace] = {"numpy": NUMPY_IMPL}
-
-
-def _try_build_numba() -> SimpleNamespace | None:
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    jit = lambda f: njit(cache=True, nogil=True)(f)  # noqa: E731
-    return _backend("numba", jit(_matmul_batch_loops), jit(_eliminate_batch_loops))
-
-
-def _select_backend() -> str:
-    requested = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be 'numba', 'numpy' or 'auto', got {requested!r}")
-    if requested == "numpy":
-        return "numpy"
-    numba_impl = _try_build_numba()
-    if numba_impl is not None:
-        BACKENDS["numba"] = numba_impl
-        return "numba"
-    if requested == "numba":
-        raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-    return "numpy"
-
-
-BACKEND = _select_backend()
-
-
-def _activate(name: str) -> None:
-    impl = BACKENDS[name]
-    g = globals()
-    g["BACKEND"] = name
-    for kernel in _KERNEL_NAMES:
-        g[kernel] = getattr(impl, kernel)
-
-
-_activate(BACKEND)
+def rref_batch(mats, add_t, mul_t, inv_t, neg_t):
+    """RREF of each matrix of a stack, and the ranks."""
+    return _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, True)
 
 
 def matmul(a, b, add_t, mul_t):
-    """Product of two matrices: a batch of one through the active matmul_batch."""
+    """Product of two matrices: a batch of one through matmul_batch."""
     return matmul_batch(a[None], b[None], add_t, mul_t)[0]
 
 
 def rref(mat, add_t, mul_t, inv_t, neg_t):
-    """RREF of one matrix and its pivot columns, through the active rref_batch."""
+    """RREF of one matrix and its pivot columns, through rref_batch."""
     r, ranks = rref_batch(mat[None], add_t, mul_t, inv_t, neg_t)
     r = r[0]
     return r, np.array([np.flatnonzero(row)[0] for row in r[: ranks[0]]], dtype=np.int64)
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily activate a backend ('numba' or 'numpy') in this process."""
-    if name not in BACKENDS:
-        raise ValueError(f"backend {name!r} not available; have {sorted(BACKENDS)}")
-    previous = BACKEND
-    _activate(name)
-    try:
-        yield BACKENDS[name]
-    finally:
-        _activate(previous)

@@ -24,8 +24,10 @@ import numpy as np
 
 from .errors import (
     DistributionInvalidError,
+    InvalidParameterError,
     NonConvergenceError,
     NotRowStochasticError,
+    _check_int,
 )
 from .grassmann import gaussian_coefficient
 
@@ -44,12 +46,14 @@ __all__ = [
     "symmetric_capacity_from_components",
 ]
 
+# Probability checks are written as `not <valid>`, so that NaN, which fails
+# every comparison, is rejected.
 _ROW_SUM_TOL = 1e-9
 
 
 def _base_divisor(log_base: float) -> float:
-    if not log_base > 1.0:
-        raise ValueError(f"log base must exceed 1, got {log_base}")
+    if not (math.isfinite(log_base) and log_base > 1.0):
+        raise InvalidParameterError(f"log base must be a finite number > 1, got {log_base}")
     return math.log2(log_base)
 
 
@@ -132,7 +136,7 @@ def strongly_symmetric_capacity(trans_row, num_outputs: int, log_base: float = 2
     """Capacity of a strongly symmetric channel from one of its rows:
     log |Y| - H(row), achieved by the uniform input distribution."""
     row = np.asarray(trans_row, dtype=np.float64)
-    if np.any(row < 0) or abs(float(row.sum()) - 1.0) > _ROW_SUM_TOL:
+    if not (np.all(row >= 0) and abs(float(row.sum()) - 1.0) <= _ROW_SUM_TOL):
         raise DistributionInvalidError("transition row must be a probability vector")
     if num_outputs < row.size:
         raise ValueError(f"row has {row.size} entries but only {num_outputs} outputs declared")
@@ -156,7 +160,7 @@ def symmetric_capacity_from_components(comps) -> float:
             _rho, sel, cap = item
             pairs.append((float(sel), float(cap)))
     total = math.fsum(sel for sel, _ in pairs)
-    if abs(total - 1.0) > _ROW_SUM_TOL:
+    if not abs(total - 1.0) <= _ROW_SUM_TOL:
         raise DistributionInvalidError(f"selection probabilities sum to {total!r}, expected 1")
     return math.fsum(sel * cap for sel, cap in pairs)
 
@@ -165,11 +169,11 @@ def _as_transition_matrix(channel) -> np.ndarray:
     trans = np.asarray(getattr(channel, "trans", channel), dtype=np.float64)
     if trans.ndim != 2 or trans.shape[0] < 1:
         raise NotRowStochasticError(f"expected a 2-D transition matrix, got shape {trans.shape}")
-    if np.any(trans < 0):
-        raise NotRowStochasticError("transition matrix has negative entries")
+    if not np.all(trans >= 0):
+        raise NotRowStochasticError("transition matrix has negative or NaN entries")
     sums = trans.sum(axis=1)
     worst = float(np.max(np.abs(sums - 1.0)))
-    if worst > _ROW_SUM_TOL:
+    if not worst <= _ROW_SUM_TOL:
         raise NotRowStochasticError(f"rows must sum to 1 within {_ROW_SUM_TOL}; worst deviation {worst:.3e}")
     return trans
 
@@ -183,7 +187,7 @@ def mutual_information(channel, input_dist, log_base: float = 2.0) -> float:
         raise DistributionInvalidError(
             f"input distribution has shape {p.shape}, expected ({trans.shape[0]},)"
         )
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > _ROW_SUM_TOL:
+    if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= _ROW_SUM_TOL):
         raise DistributionInvalidError("input distribution must be nonnegative and sum to 1")
     out = p @ trans
     active = (trans > 0) & (p[:, None] > 0)
@@ -207,10 +211,9 @@ def blahut_arimoto(
     before iterating.  Raises NonConvergenceError (carrying the best solution
     found) if ``max_iters`` is hit first.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be a finite number > 0, got {tol}")
+    max_iters = _check_int("max_iters", max_iters, 1)
     divisor = _base_divisor(log_base)
     trans = _as_transition_matrix(channel)
     trans = trans[:, trans.sum(axis=0) > 0]

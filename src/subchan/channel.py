@@ -30,6 +30,7 @@ from .errors import (
     EnumerationTooLargeError,
     InsufficientDataError,
     ObservationOutOfRangeError,
+    _check_int,
 )
 from .gf import GF
 from .grassmann import (
@@ -146,20 +147,35 @@ class ChannelSpec:
         return self.field.q
 
 
+def _spec_int(data: dict, key: str, minimum: int) -> int:
+    value = data[key]
+    # JSON has one number type: an integral float such as 3.0 is an integer.
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _check_int(key, value, minimum)
+
+
 def channel_spec_from_dict(data: dict) -> tuple[ChannelSpec, list[str]]:
     """Build a ChannelSpec from the JSON object {"q", "T", "h", "rank_def"}.
 
-    Rejects vectors whose mass deviates from 1 by more than 1e-9; smaller
-    deviations are renormalized with a note in the returned warnings list
-    (pure float-representation dust below 1e-15 is silent).
+    q, T and h must be integers (integral floats accepted) and rank_def a
+    list of numbers, as in schemas/channel_spec.schema.json.  Rejects vectors
+    whose mass deviates from 1 by more than 1e-9; smaller deviations are
+    renormalized with a note in the returned warnings list (pure
+    float-representation dust below 1e-15 is silent).
     """
     warnings: list[str] = []
     for key in ("q", "T", "h", "rank_def"):
         if key not in data:
             raise DistributionInvalidError(f"channel spec missing required key {key!r}")
-    field = GF(int(data["q"]))
-    T, h = int(data["T"]), int(data["h"])
-    vec = np.asarray(data["rank_def"], dtype=np.float64)
+    field = GF(_spec_int(data, "q", 2))
+    T, h = _spec_int(data, "T", 1), _spec_int(data, "h", 1)
+    try:
+        vec = np.asarray(data["rank_def"])
+    except ValueError:  # ragged nesting
+        vec = None
+    if vec is None or vec.dtype.kind not in "iuf":
+        raise DistributionInvalidError(f"rank_def must be a list of numbers, got {data['rank_def']!r}")
     total = float(vec.sum()) if vec.size else 0.0
     dist = RankDefDist(h, vec)
     if abs(total - 1.0) > 1e-15:

@@ -10,7 +10,8 @@ Channel parameters come either from a JSON spec file (--spec) or inline
 (--q/--T/--h/--rank-def); --rank-def is deficiency-indexed, p(0),...,p(h),
 where p(r) is the probability that the transfer matrix has rank h - r.
 
-Exit codes: 0 success, 2 usage or spec error, 3 verification failure.
+Exit codes: 0 success, 2 usage, spec or output-path error, 3 verification
+failure.
 The enumeration cap (default 1e6 subspaces) can be overridden with the
 SUBCHAN_ENUM_CAP environment variable, an integer >= 1 (else exit 2).
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,12 +87,13 @@ def _resolve_log_base(value: str, spec: ChannelSpec | None) -> float:
         if spec is None:
             raise SubchanError("--log-base q requires channel parameters")
         return float(spec.field.q)
+    message = f"--log-base must be a finite number > 1 or 'q', got {value!r}"
     try:
         base = float(value)
     except ValueError:
-        raise SubchanError(f"--log-base must be a number > 1 or 'q', got {value!r}") from None
-    if base <= 1.0:
-        raise SubchanError(f"--log-base must exceed 1, got {base}")
+        raise SubchanError(message) from None
+    if not (math.isfinite(base) and base > 1.0):
+        raise SubchanError(message)
     return base
 
 
@@ -98,8 +101,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SubchanError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _json_text(obj) -> str:
@@ -107,6 +113,8 @@ def _json_text(obj) -> str:
 
 
 def cmd_capacity(args, parser) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error(f"--tol must be a finite number > 0, got {args.tol}")
     spec = _resolve_spec(args, parser)
     base = _resolve_log_base(args.log_base, spec)
     report = capacity_closed_form(spec, base)

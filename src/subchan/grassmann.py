@@ -79,8 +79,7 @@ def gaussian_coefficient(n: int, ell: int, q: int) -> int:
     ell = 0.  Exact big-integer arithmetic throughout.
     """
     _factor_prime_power(q, max_size=None)
-    if n < 0 or ell < 0:
-        raise ValueError(f"n and ell must be nonnegative, got n={n}, ell={ell}")
+    n, ell = _check_int("n", n, 0), _check_int("ell", ell, 0)
     if ell > n:
         return 0
     num = 1
@@ -94,8 +93,7 @@ def gaussian_coefficient(n: int, ell: int, q: int) -> int:
 def count_ordered_bases(h: int, q: int) -> int:
     """Number of ordered bases spanning an h-dimensional subspace: |GL(h, q)|."""
     _factor_prime_power(q, max_size=None)
-    if h < 0:
-        raise ValueError(f"h must be nonnegative, got {h}")
+    h = _check_int("h", h, 0)
     out = 1
     for i in range(1, h + 1):
         out *= q**h - q ** (i - 1)
@@ -288,8 +286,8 @@ def enumerate_grassmannian(
     field: GF, ambient_dim: int, dim: int, cap: int | None = None
 ) -> GrassmannianIndex:
     """All dim-dimensional subspaces of F_q^ambient_dim, in canonical order."""
-    if ambient_dim < 0 or dim < 0:
-        raise ValueError("dimensions must be nonnegative")
+    ambient_dim = _check_int("ambient_dim", ambient_dim, 0)
+    dim = _check_int("dim", dim, 0)
     cap_val = resolve_enum_cap(cap)
     count = gaussian_coefficient(ambient_dim, dim, field.q)
     if count > cap_val:

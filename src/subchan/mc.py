@@ -10,9 +10,9 @@ Determinism contract: a master seed expands into one substream per input via
 is consumed in the fixed order ``simulate_uses`` documents (deficiency draws,
 then basis selectors, then transfer-matrix factors grouped by ascending
 deficiency).
-Identical (spec, draws, seed) therefore reproduce the identical report, on
-either kernel backend: all randomness is drawn through numpy Generators at
-the orchestration layer and the kernels are exact integer functions.
+Identical (spec, draws, seed) therefore reproduce the identical report: all
+randomness is drawn through numpy Generators at the orchestration layer and
+the kernels are exact integer functions.
 """
 
 from __future__ import annotations

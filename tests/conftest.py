@@ -10,9 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import pytest
 
-from subchan import _kernels
 from subchan.gf import GF
 
 
@@ -78,20 +76,3 @@ def chi2_statistic(counts, expected) -> float:
     counts = np.asarray(counts, dtype=np.float64)
     expected = np.asarray(expected, dtype=np.float64)
     return float(((counts - expected) ** 2 / expected).sum())
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Trigger kernel compilation once so timed tests measure algorithms,
-    not JIT warmup."""
-    f = GF(2)
-    t = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
-    a = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-    for name in _kernels.BACKENDS:
-        with _kernels.use_backend(name) as impl:
-            _kernels.matmul(a, a, *t[:2])
-            _kernels.rref(a, *t)
-            impl.matmul_batch(a[None], a[None], *t[:2])
-            impl.rank_batch(a[None], *t)
-            impl.rref_batch(a[None], *t)
-    yield

@@ -19,6 +19,7 @@ from subchan.capacity import (
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc, components
 from subchan.errors import (
     DistributionInvalidError,
+    InvalidParameterError,
     NonConvergenceError,
     NotRowStochasticError,
 )
@@ -72,6 +73,11 @@ class TestComponentCapacity:
             component_capacity(2, 2, 3, 0)
         with pytest.raises(ValueError):
             component_capacity(2, 3, 2, 0, log_base=1.0)
+
+    @pytest.mark.parametrize("base", [math.nan, math.inf, 1.0, 0.5])
+    def test_log_base_must_be_finite_and_exceed_one(self, base):
+        with pytest.raises(InvalidParameterError):
+            component_capacity(2, 3, 2, 0, log_base=base)
 
 
 class TestClosedForm:
@@ -134,6 +140,11 @@ class TestStronglySymmetricCapacity:
         with pytest.raises(DistributionInvalidError):
             strongly_symmetric_capacity([0.5, 0.4], 2)
 
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]])
+    def test_rejects_nan_rows(self, row):
+        with pytest.raises(DistributionInvalidError):
+            strongly_symmetric_capacity(row, 2)
+
 
 class TestSymmetricCapacityFromComponents:
     def test_single_component(self):
@@ -152,6 +163,10 @@ class TestSymmetricCapacityFromComponents:
         with pytest.raises(DistributionInvalidError):
             symmetric_capacity_from_components([(0, 0.5, 1.0)])
 
+    def test_nan_selection_probability_rejected(self):
+        with pytest.raises(DistributionInvalidError):
+            symmetric_capacity_from_components([(0, math.nan, 1.0), (1, 1.0, 0.0)])
+
 
 class TestMutualInformation:
     def test_point_mass_on_identity_channel(self):
@@ -161,6 +176,18 @@ class TestMutualInformation:
     def test_uniform_on_identity_channel(self):
         eye = np.eye(4)
         assert mutual_information(eye, np.full(4, 0.25)) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dist", [np.full(7, math.nan), [math.nan, 1, 0, 0, 0, 0, 0]])
+    def test_rejects_nan_input_distribution(self, dist):
+        with pytest.raises(DistributionInvalidError):
+            mutual_information(build_dmc(MIXED), dist)
+
+    def test_rejects_nan_transition_entries(self):
+        chan = np.array([[math.nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(NotRowStochasticError):
+            mutual_information(chan, [0.5, 0.5])
+        with pytest.raises(NotRowStochasticError):
+            blahut_arimoto(chan)
 
     def test_uniform_input_on_dmc_matches_blahut_arimoto(self):
         dmc = build_dmc(MIXED)
@@ -235,6 +262,16 @@ class TestBlahutArimoto:
             blahut_arimoto(np.eye(2), tol=0.0)
         with pytest.raises(ValueError):
             blahut_arimoto(np.eye(2), max_iters=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidParameterError):
+            blahut_arimoto(np.eye(2), tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 10.0, True, "10"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        with pytest.raises(InvalidParameterError):
+            blahut_arimoto(np.eye(2), max_iters=max_iters)
 
     def test_nonconvergence_carries_best_solution(self):
         chan = np.array([[0.8, 0.15, 0.05], [0.05, 0.25, 0.7]])

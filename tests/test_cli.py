@@ -83,6 +83,23 @@ class TestCapacity:
         assert code == 2
         assert "log-base" in err
 
+    @pytest.mark.parametrize("base", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["capacity"], ["simulate", "--draws", "10", "--pipeline"]])
+    def test_non_finite_log_base_exit_2(self, capsys, command, base):
+        code, out, err = _run(capsys, [*command, *INLINE, "--log-base", base])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --log-base must be a finite number > 1 or 'q', got {base!r}"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_exit_2(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc_info:
+            _run(capsys, ["capacity", *INLINE, "--verify", "--tol", tol])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol must be a finite number > 0" in captured.err
+
 
 class TestSpecSources:
     def test_spec_file(self, capsys, tmp_path):
@@ -121,6 +138,52 @@ class TestSpecSources:
         code, _, err = _run(capsys, ["capacity", "--q", "2", "--T", "3", "--h", "2", "--rank-def", "0.9,0,0"])
         assert code == 2
         assert "sum" in err
+
+    @pytest.mark.parametrize(
+        "key, value, minimum",
+        [("q", "x", 2), ("q", True, 2), ("q", 2.5, 2), ("T", 3.7, 1), ("T", "3", 1), ("h", 2.5, 1), ("h", None, 1)],
+    )
+    def test_non_integer_spec_values_exit_2(self, capsys, tmp_path, key, value, minimum):
+        data = {"q": 2, "T": 3, "h": 2, "rank_def": [0.5, 0.3, 0.2]}
+        data[key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        code, out, err = _run(capsys, ["capacity", "--spec", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {key} must be an integer >= {minimum}, got {value!r}"]
+
+    def test_integral_float_spec_values_accepted(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"q": 2.0, "T": 3.0, "h": 2.0, "rank_def": [1, 0, 0]}))
+        code, out, _ = _run(capsys, ["capacity", "--spec", str(path)])
+        assert code == 0
+        assert "2.807355" in out
+
+    @pytest.mark.parametrize("rank_def", ["abc", ["a", "b", "c"], [True, False, False], {"a": 1}, [[1], [0, 0]]])
+    def test_non_numeric_rank_def_exit_2(self, capsys, tmp_path, rank_def):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"q": 2, "T": 3, "h": 2, "rank_def": rank_def}))
+        code, out, err = _run(capsys, ["capacity", "--spec", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: rank_def must be a list of numbers, got {rank_def!r}"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity", *INLINE],
+            ["matrix", *INLINE],
+            ["simulate", *INLINE, "--draws", "10"],
+            ["count", "bases", "--h", "2", "--q", "2"],
+        ],
+    )
+    def test_unwritable_out_path_exit_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = _run(capsys, [*argv, "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: cannot write {target}: No such file or directory"
 
     def test_unnormalized_beyond_tolerance_rejected(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
@@ -248,6 +311,20 @@ class TestCount:
         code, _, err = _run(capsys, ["count", "gauss", "--n", "3", "--l", "2", "--q", "6"])
         assert code == 2
         assert "prime power" in err
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["gauss", "--n", "-1", "--l", "1", "--q", "2"], "n"),
+            (["gauss", "--n", "3", "--l", "-1", "--q", "2"], "ell"),
+            (["bases", "--h", "-1", "--q", "2"], "h"),
+        ],
+    )
+    def test_negative_arguments_exit_2(self, capsys, args, name):
+        code, out, err = _run(capsys, ["count", *args])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {name} must be an integer >= 0, got -1"]
 
 
 class TestChannelSpecSchema:

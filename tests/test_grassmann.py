@@ -17,6 +17,7 @@ from subchan.errors import (
     AmbientMismatchError,
     DimensionMismatchError,
     EnumerationTooLargeError,
+    InvalidParameterError,
     SubchanError,
 )
 from subchan.gf import GF
@@ -77,6 +78,11 @@ class TestGaussianCoefficient:
         with pytest.raises(Exception):
             gaussian_coefficient(3, 1, 6)
 
+    @pytest.mark.parametrize("n, ell", [(2.5, 1), (4.0, 2), (3, 1.0), (-1, 1), (3, -1), (True, 1), ("3", 1)])
+    def test_non_integer_or_negative_arguments_rejected(self, n, ell):
+        with pytest.raises(InvalidParameterError):
+            gaussian_coefficient(n, ell, 2)
+
 
 class TestCountOrderedBases:
     def test_two_dimensional_binary_case_has_six(self):
@@ -94,6 +100,11 @@ class TestCountOrderedBases:
     def test_empty_product(self):
         assert count_ordered_bases(0, 2) == 1
         assert count_ordered_bases(0, 9) == 1
+
+    @pytest.mark.parametrize("h", [-1, 2.5, 2.0, True, "2"])
+    def test_non_integer_or_negative_h_rejected(self, h):
+        with pytest.raises(InvalidParameterError):
+            count_ordered_bases(h, 2)
 
 
 class TestSpan:
@@ -185,6 +196,11 @@ class TestEnumerateGrassmannian:
         # Pivot sets in lexicographic order: (0,1), (0,2), (1,2); free entries
         # counted odometer-style with the last row-major position fastest.
         assert labels == ["100|010", "100|011", "101|010", "101|011", "100|001", "110|001", "010|001"]
+
+    @pytest.mark.parametrize("ambient, dim", [(-1, 0), (3, -1), (3.0, 2), (3, 2.5), (True, 1), (3, "2")])
+    def test_non_integer_or_negative_dimensions_rejected(self, ambient, dim):
+        with pytest.raises(InvalidParameterError):
+            enumerate_grassmannian(F2, ambient, dim)
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationTooLargeError):

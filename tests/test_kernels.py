@@ -1,9 +1,8 @@
-"""Kernel backends: numba and numpy paths must agree bit-for-bit, and both
-must agree with the plain-python reference loops."""
+"""GF(q) kernels: the batched numpy kernels, and their batches of one, must
+agree bit-for-bit with the plain-python reference loops."""
 
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -27,30 +26,31 @@ def _random_mats(q, count, n, m, seed):
     return rng.integers(0, q, size=(count, n, m), dtype=np.uint8)
 
 
-def _impls():
-    return [_kernels.BACKENDS[name] for name in sorted(_kernels.BACKENDS)]
+def _ref_rref_batch(mats, add_t, mul_t, inv_t, neg_t):
+    return _kernels._eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, True)
+
+
+def _ref_rank_batch(mats, add_t, mul_t, inv_t, neg_t):
+    return _kernels._eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, False)[1]
+
+
+_ref_matmul_batch = _kernels._matmul_batch_loops
 
 
 @pytest.mark.parametrize("q", FIELDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_backends_agree_on_rref_and_rank(q, shape):
     n, m = shape
-    add_t, mul_t, inv_t, neg_t = _tables(q)
+    tables = _tables(q)
     mats = _random_mats(q, 40, n, m, seed=q * 100 + n * 10 + m)
-    results = []
-    for impl in _impls():
-        with _kernels.use_backend(impl.name):
-            rs, ranks = impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
-            ranks2 = impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t)
-            singles = [_kernels.rref(mats[i], add_t, mul_t, inv_t, neg_t) for i in range(len(mats))]
-        results.append((rs, ranks, ranks2, singles))
-    ref_rs, ref_ranks, ref_ranks2, ref_singles = results[0]
-    assert np.array_equal(ref_ranks, ref_ranks2)
-    for rs, ranks, ranks2, singles in results[1:]:
-        assert np.array_equal(rs, ref_rs)
-        assert np.array_equal(ranks, ref_ranks)
-        assert np.array_equal(ranks2, ref_ranks2)
-    for i, (r_single, piv) in enumerate(ref_singles):
+    ref_rs, ref_ranks = _ref_rref_batch(mats, *tables)
+    assert np.array_equal(_ref_rank_batch(mats, *tables), ref_ranks)
+    rs, ranks = _kernels.rref_batch(mats, *tables)
+    assert np.array_equal(rs, ref_rs)
+    assert np.array_equal(ranks, ref_ranks)
+    assert np.array_equal(_kernels.rank_batch(mats, *tables), ref_ranks)
+    for i in range(len(mats)):
+        r_single, piv = _kernels.rref(mats[i], *tables)
         assert np.array_equal(r_single, ref_rs[i])
         assert len(piv) == ref_ranks[i]
 
@@ -60,35 +60,27 @@ def test_backends_agree_on_matmul(q):
     add_t, mul_t, _, _ = _tables(q)
     a = _random_mats(q, 30, 3, 4, seed=q)
     b = _random_mats(q, 30, 4, 2, seed=q + 1)
-    outs = [impl.matmul_batch(a, b, add_t, mul_t) for impl in _impls()]
-    for out in outs[1:]:
-        assert np.array_equal(out, outs[0])
+    out = _kernels.matmul_batch(a, b, add_t, mul_t)
+    assert np.array_equal(out, _ref_matmul_batch(a, b, add_t, mul_t))
     for i in range(len(a)):
-        single = []
-        for impl in _impls():
-            with _kernels.use_backend(impl.name):
-                single.append(_kernels.matmul(a[i], b[i], add_t, mul_t))
-        for s in single:
-            assert np.array_equal(s, outs[0][i])
+        assert np.array_equal(_kernels.matmul(a[i], b[i], add_t, mul_t), out[i])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_backends_match_reference_loops(q):
-    """The un-jitted scalar loops are the behavioral reference."""
-    add_t, mul_t, inv_t, neg_t = _tables(q)
+    """The plain-python loops are the behavioral reference."""
+    tables = _tables(q)
+    add_t, mul_t = tables[:2]
     mats = _random_mats(q, 12, 3, 4, seed=q + 7)
     a = _random_mats(q, 12, 2, 3, seed=q + 8)
     b = _random_mats(q, 12, 3, 3, seed=q + 9)
-    ref = _kernels.REFERENCE_IMPL
-    ref_rref, ref_ranks = ref.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
-    ref_mm = ref.matmul_batch(a, b, add_t, mul_t)
-    assert np.array_equal(ref.rank_batch(mats, add_t, mul_t, inv_t, neg_t), ref_ranks)
-    for impl in _impls():
-        rs, ranks = impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
-        assert np.array_equal(rs, ref_rref)
-        assert np.array_equal(ranks, ref_ranks)
-        assert np.array_equal(impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t), ref_ranks)
-        assert np.array_equal(impl.matmul_batch(a, b, add_t, mul_t), ref_mm)
+    ref_rref, ref_ranks = _ref_rref_batch(mats, *tables)
+    assert np.array_equal(_ref_rank_batch(mats, *tables), ref_ranks)
+    rs, ranks = _kernels.rref_batch(mats, *tables)
+    assert np.array_equal(rs, ref_rref)
+    assert np.array_equal(ranks, ref_ranks)
+    assert np.array_equal(_kernels.rank_batch(mats, *tables), ref_ranks)
+    assert np.array_equal(_kernels.matmul_batch(a, b, add_t, mul_t), _ref_matmul_batch(a, b, add_t, mul_t))
 
 
 # Widths around the byte and word boundaries of the packed GF(2) path, and
@@ -109,22 +101,22 @@ def _gf2_mats(rng, count, rows, cols):
 
 @pytest.mark.parametrize("cols", PACKED_COLS)
 def test_gf2_numpy_kernels_match_reference_loops(cols):
-    add_t, mul_t, inv_t, neg_t = _tables(2)
-    ref, impl = _kernels.REFERENCE_IMPL, _kernels.NUMPY_IMPL
+    tables = _tables(2)
+    add_t, mul_t = tables[:2]
     rng = np.random.default_rng(cols)
     count = 12 if cols < 32 else 6
     for rows in [0, 1, 2, 3, 4, 5, 6, cols + 1]:
         mats = _gf2_mats(rng, count, rows, cols)
-        ref_rref, ref_ranks = ref.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
-        rs, ranks = impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
+        ref_rref, ref_ranks = _ref_rref_batch(mats, *tables)
+        rs, ranks = _kernels.rref_batch(mats, *tables)
         assert rs.dtype == np.uint8 and rs.flags.c_contiguous
         assert np.array_equal(rs, ref_rref), rows
         assert np.array_equal(ranks, ref_ranks), rows
-        assert np.array_equal(impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t), ref_ranks), rows
+        assert np.array_equal(_kernels.rank_batch(mats, *tables), ref_ranks), rows
         a = _gf2_mats(rng, count, 3, rows)
-        mm = impl.matmul_batch(a, mats, add_t, mul_t)
+        mm = _kernels.matmul_batch(a, mats, add_t, mul_t)
         assert mm.dtype == np.uint8
-        assert np.array_equal(mm, ref.matmul_batch(a, mats, add_t, mul_t)), rows
+        assert np.array_equal(mm, _ref_matmul_batch(a, mats, add_t, mul_t)), rows
 
 
 @pytest.mark.parametrize("cols, packed", [(64, True), (65, False)])
@@ -140,10 +132,9 @@ def test_gf2_packed_path_taken_up_to_64_columns(monkeypatch, cols, packed):
             return _original(*args)
 
         monkeypatch.setattr(_kernels, name, spy)
-    impl = _kernels.NUMPY_IMPL
-    impl.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
-    impl.rank_batch(mats, add_t, mul_t, inv_t, neg_t)
-    impl.matmul_batch(mats[:, :, :2], mats, add_t, mul_t)
+    _kernels.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
+    _kernels.rank_batch(mats, add_t, mul_t, inv_t, neg_t)
+    _kernels.matmul_batch(mats[:, :, :2], mats, add_t, mul_t)
     expected = ["_eliminate_gf2_packed", "_eliminate_gf2_packed", "_matmul_gf2_packed"]
     assert taken == (expected if packed else [])
 
@@ -194,21 +185,3 @@ def test_zero_and_identity_cases():
     assert not r.any() and len(piv) == 0
     assert np.array_equal(_kernels.matmul(eye, eye, add_t, mul_t), eye)
     assert not _kernels.matmul(zero, eye, add_t, mul_t).any()
-
-
-def test_use_backend_context_restores_selection():
-    before = _kernels.BACKEND
-    other = next(iter(set(_kernels.BACKENDS) - {before}), before)
-    with _kernels.use_backend(other):
-        assert _kernels.BACKEND == other
-    assert _kernels.BACKEND == before
-    with pytest.raises(ValueError):
-        with _kernels.use_backend("nonexistent"):
-            pass
-
-
-def test_numba_backend_present_when_importable():
-    pytest.importorskip("numba")
-    if os.environ.get("SUBCHAN_BACKEND", "").strip().lower() == "numpy":
-        pytest.skip("numpy backend forced by environment; numba path not built")
-    assert "numba" in _kernels.BACKENDS

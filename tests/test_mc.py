@@ -12,7 +12,6 @@ import json
 import numpy as np
 import pytest
 
-from subchan import _kernels
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc
 from subchan.errors import InsufficientDataError, SubchanError
 from subchan.gf import GF
@@ -102,17 +101,6 @@ class TestRunMcDeterminism:
         a = run_mc(MIXED, 1000, seed=11)
         b = run_mc(MIXED, 1000, seed=12)
         assert mc_report_to_dict(a) != mc_report_to_dict(b)
-
-    def test_backends_produce_identical_reports(self):
-        """All randomness is consumed at the orchestration layer, so the
-        numba and numpy kernel paths must yield the same report."""
-        if len(_kernels.BACKENDS) < 2:
-            pytest.skip("only one backend available")
-        outs = {}
-        for name in sorted(_kernels.BACKENDS):
-            with _kernels.use_backend(name):
-                outs[name] = mc_report_to_dict(run_mc(MIXED, 2000, seed=5))
-        assert outs["numba"] == outs["numpy"]
 
 
 class TestRunMcStatistics:
