@@ -1,16 +1,15 @@
-"""Table-driven GF(q) matrix kernels in numpy.
+"""GF(q) matrix kernels in numpy.
 
 Three batched kernels carry every matrix computation of the package:
 ``matmul_batch``, ``rank_batch`` and ``rref_batch``.  Rank and RREF share
 one Gaussian elimination, which reduces above the pivots only for RREF.
+Each runs its batch in blocks of ``_BLOCK`` matrices, which bounds memory.
 
-Over GF(2), a matrix with 1 to 64 columns takes a packed path: each row is
-one ``uint64`` (column c is bit cols-1-c, so a row's leftmost nonzero entry
-is its highest set bit), row addition is one XOR, elimination clears each
-row's highest bit from the other rows of its matrix, and the product XORs
-the packed rows of ``b`` that ``a`` selects, as in M4RI (Albrecht, Bard and
-Hart, ACM TOMS 2010).  Other fields and wider matrices use the table
-elimination.
+Over GF(2^k), a matrix with 1 to 64 columns is bit-sliced as in M4RIE
+(Albrecht, ISSAC 2012): a row is k ``uint64`` planes, plane j holding bit j
+of each entry, column c at bit cols-1-c, so adding rows is one XOR per plane.
+k = 1 is the packed GF(2) of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).
+Odd q and wider matrices use the table elimination.
 
 ``matmul`` and ``rref`` act on one matrix: each is a batch of one.  The
 plain-python loop kernels ``_matmul_batch_loops`` and
@@ -22,6 +21,8 @@ uint8, ``inv_t``/``neg_t`` are (q,) uint8.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -89,30 +90,39 @@ def _eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, full):
 # Vectorized numpy implementations
 # ---------------------------------------------------------------------------
 
-def _packs_gf2(add_t, cols):
-    """Whether the numpy kernels take the packed GF(2) path for this width."""
-    return add_t.shape[0] == 2 and 1 <= cols <= 64
+_BLOCK = 16384
 
 
-def _pack_gf2(mats):
-    """Rows of a (..., cols) 0/1 array as uint64 words, column c at bit cols-1-c."""
-    cols = mats.shape[-1]
+def _plane_count(add_t, cols):
+    """k when the field is GF(2^k) and the packed path takes this width, else 0."""
+    q = add_t.shape[0]
+    return q.bit_length() - 1 if q & (q - 1) == 0 and 1 <= cols <= 64 else 0
+
+
+def _bits(s, k):
+    """Bit j of the uint8s s at index j of a new first axis (GF(2) entries are bits)."""
+    return s[None] if k == 1 else (s >> np.arange(k, dtype=np.uint8).reshape((k,) + (1,) * s.ndim)) & 1
+
+
+def _pack(mats, k):
+    """(nmat, rows, cols) entries as (k, rows, nmat) little-endian uint64 planes."""
+    nbytes = (mats.shape[2] + 7) // 8
+    # Rows left-padded to whole bytes pack in one flat packbits (nonzero is 1).
+    bits = np.zeros((k,) + mats.shape[:2] + (8 * nbytes,), dtype=np.uint8)
+    for j in range(k):
+        bits[j, ..., 8 * nbytes - mats.shape[2] :] = mats & (1 << j) if k > 1 else mats
+    packed = np.packbits(bits.reshape(-1)).reshape(bits.shape[:-1] + (nbytes,))
+    planes = np.zeros((k, mats.shape[1], mats.shape[0]), dtype="<u8")
+    planes[..., None].view(np.uint8)[..., :nbytes] = packed.transpose(0, 2, 1, 3)[..., ::-1]
+    return planes
+
+
+def _unpack(planes, cols):
+    """(k, nmat, rows) planes as a (nmat, rows, cols) view of their entries."""
     nbytes = (cols + 7) // 8
-    lead = mats.shape[:-1]
-    # Left-pad each row to whole bytes, so one flat packbits packs every row.
-    bits = np.zeros(lead + (8 * nbytes,), dtype=np.uint8)
-    bits[..., 8 * nbytes - cols :] = mats
-    words = np.zeros(lead + (8,), dtype=np.uint8)
-    words[..., 8 - nbytes :] = np.packbits(bits.reshape(-1)).reshape(lead + (nbytes,))
-    return words.view(">u8")[..., 0].astype(np.uint64)
-
-
-def _unpack_gf2(words, cols):
-    """Inverse of _pack_gf2: (...,) uint64 words to a (..., cols) uint8 array."""
-    nbytes = (cols + 7) // 8
-    big = words.astype(">u8")[..., None].view(np.uint8)[..., 8 - nbytes :]
-    bits = np.unpackbits(np.ascontiguousarray(big).reshape(-1))
-    return np.ascontiguousarray(bits.reshape(words.shape + (8 * nbytes,))[..., 8 * nbytes - cols :])
+    big = planes.astype("<u8", copy=False)[..., None].view(np.uint8)[..., nbytes - 1 :: -1]
+    bits = np.unpackbits(big.reshape(-1)).reshape(big.shape[:-1] + (8 * nbytes,))
+    return sum((bits[j] << j for j in range(1, len(bits))), bits[0])[..., 8 * nbytes - cols :]
 
 
 def _high_bit(words, cols):
@@ -124,60 +134,54 @@ def _high_bit(words, cols):
     return words ^ (words >> 1)
 
 
-def _matmul_gf2_packed(a, b):
-    packed_b = _pack_gf2(b)
-    out = np.zeros(a.shape[:2], dtype=np.uint64)
-    for t in range(a.shape[2]):
-        out ^= a[:, :, t] * packed_b[:, t, None]
-    return _unpack_gf2(out, b.shape[2])
-
-
-def _eliminate_gf2_packed(mats, full):
-    """Elimination on packed rows; row i's highest bit is cleared from the
-    later rows, or for full=True from all other rows, so the nonzero rows
-    end with distinct leading bits."""
-    nmat, rows, cols = mats.shape
-    words = _pack_gf2(mats)
-    for i in range(rows if full else rows - 1):
-        piv = words[:, i]
-        rest = words if full else words[:, i + 1 :]
-        hit = (rest & _high_bit(piv, cols)[:, None]) != 0
-        if full:
-            hit[:, i] = False
-        rest ^= piv[:, None] * hit
-    ranks = np.zeros(nmat, dtype=np.int64)
-    for i in range(rows):
-        ranks += words[:, i] != 0
-    if not full:
-        return None, ranks
-    # Descending words order the rows by leading column, zero rows last.
-    words.sort(axis=1)
-    return _unpack_gf2(words[:, ::-1], cols), ranks
-
-
-def matmul_batch(a, b, add_t, mul_t):
-    """Products a[s] @ b[s] of two (nmat, n, k) and (nmat, k, m) stacks."""
-    if _packs_gf2(add_t, b.shape[2]):
-        return _matmul_gf2_packed(a, b)
-    nmat, n, kk = a.shape
-    m = b.shape[2]
-    out = np.zeros((nmat, n, m), dtype=np.uint8)
-    for t in range(kk):
-        out = add_t[out, mul_t[a[:, :, t][:, :, None], b[:, t, :][:, None, :]]]
+def _scale(planes, s_bits, mul_t):
+    """planes times the scalars whose bit j is s_bits[j]: the XOR of x^j planes
+    over the set bits j.  Times x, bits move up a plane and x^k adds x * x^(k-1)
+    from the table, whose constant term 1 (the polynomial is irreducible) np.roll wraps in."""
+    out = planes * s_bits[0]
+    for j in range(1, len(planes)):
+        planes = np.roll(planes, 1, axis=0)
+        planes[1:] ^= np.multiply.outer(_bits(mul_t[2, len(mul_t) // 2], len(planes))[1:], planes[0])
+        out ^= planes * s_bits[j]
     return out
 
 
-def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):
-    """Gaussian elimination of each matrix; full=True reduces above pivots too."""
-    if _packs_gf2(add_t, mats.shape[2]):
-        return _eliminate_gf2_packed(mats, full)
+def _eliminate_packed(mats, k, mul_t, inv_t, full):
+    """Elimination on planes: row i, scaled to a leading 1, is subtracted f times
+    from each later row (each other row for full=True), f being that row's entry
+    in row i's leading column; nonzero rows end with distinct leading columns."""
+    rows, cols = mats.shape[1:]
+    planes = _pack(mats, k)
+    for i in range(rows if full else rows - 1):
+        piv = planes[:, i]
+        bit = _high_bit(functools.reduce(np.bitwise_or, piv), cols)
+        if k > 1:
+            entry = sum(((plane & bit) != 0).astype(np.uint8) << j for j, plane in enumerate(piv))
+            piv[...] = _scale(piv, _bits(inv_t[entry], k), mul_t)
+        rest = planes if full else planes[:, i + 1 :]
+        hit = (rest & bit) != 0
+        if full:
+            hit[:, i] = False
+        rest ^= _scale(piv[:, None], hit, mul_t)
+    lead = functools.reduce(np.bitwise_or, planes)
+    if not full:
+        return None, (lead != 0).sum(axis=0)
+    # Row r moves to the number of rows with a larger leading word: nonzero rows
+    # to distinct slots in order, zero rows all to slot rank; later slots stay 0.
+    dest = sum((row > lead for row in lead), np.zeros(lead.shape, dtype=np.uint8))
+    out = np.zeros((k, lead.shape[1], rows), dtype=np.uint64)
+    out[:, np.arange(lead.shape[1])[:, None], dest.T] = planes.transpose(0, 2, 1)
+    return np.ascontiguousarray(_unpack(out, cols)), (lead != 0).sum(axis=0)
+
+
+def _eliminate_table(mats, add_t, mul_t, inv_t, neg_t, full):
     r = mats.copy()
     nmat, rows, cols = r.shape
-    if nmat == 0 or rows == 0 or cols == 0:
-        return r, np.zeros(nmat, dtype=np.int64)
     pr = np.zeros(nmat, dtype=np.int64)
     row_ids = np.arange(rows)
     for c in range(cols):
+        if np.all(pr == rows):
+            break
         colv = r[:, :, c]
         eligible = (row_ids[None, :] >= pr[:, None]) & (colv != 0)
         has = eligible.any(axis=1)
@@ -198,9 +202,39 @@ def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):
             factors[row_ids[None, :] <= prs[:, None]] = 0
         r[sel] = add_t[r[sel], mul_t[neg_t[factors][:, :, None], piv_rows[:, None, :]]]
         pr[sel] += 1
-        if np.all(pr == rows):
-            break
     return r, pr
+
+
+def matmul_batch(a, b, add_t, mul_t):
+    """Products a[s] @ b[s] of two (nmat, n, k) and (nmat, k, m) stacks."""
+    if len(a) > _BLOCK:
+        blocks = range(0, len(a), _BLOCK)
+        return np.concatenate([matmul_batch(a[s : s + _BLOCK], b[s : s + _BLOCK], add_t, mul_t) for s in blocks])
+    k = _plane_count(add_t, b.shape[2])
+    if k:  # row i of a product XORs a[s, i, t] times row t of b over t
+        planes, a_bits = _pack(b, k), _bits(a, k)
+        out = np.zeros((k,) + a.shape[:2], dtype=np.uint64)
+        for t in range(a.shape[2]):
+            out ^= _scale(planes[:, t, :, None], a_bits[..., t], mul_t)
+        return np.ascontiguousarray(_unpack(out, b.shape[2]))
+    out = np.zeros((len(a), a.shape[1], b.shape[2]), dtype=np.uint8)
+    for t in range(a.shape[2]):
+        out = add_t[out, mul_t[a[:, :, t, None], b[:, t, None, :]]]
+    return out
+
+
+def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):
+    """Gaussian elimination of each matrix: RREFs (None for full=False, which
+    reduces below pivots only) and ranks.  Block results join last: an output made
+    first leaves temporaries atop the heap, trimmed by malloc and faulted back in."""
+    if len(mats) > _BLOCK:
+        blocks = range(0, len(mats), _BLOCK)
+        rs, ranks = zip(*(_eliminate_batch(mats[s : s + _BLOCK], add_t, mul_t, inv_t, neg_t, full) for s in blocks))
+        return (np.concatenate(rs) if full else None), np.concatenate(ranks)
+    k = _plane_count(add_t, mats.shape[2])
+    if k:
+        return _eliminate_packed(mats, k, mul_t, inv_t, full)
+    return _eliminate_table(mats, add_t, mul_t, inv_t, neg_t, full)
 
 
 def rank_batch(mats, add_t, mul_t, inv_t, neg_t):

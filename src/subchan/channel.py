@@ -29,6 +29,7 @@ from .errors import (
     DistributionInvalidError,
     EnumerationTooLargeError,
     InsufficientDataError,
+    InvalidParameterError,
     ObservationOutOfRangeError,
     _check_int,
 )
@@ -135,6 +136,8 @@ class ChannelSpec:
     rank_def: RankDefDist
 
     def __post_init__(self):
+        for name in ("T", "h"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, DimensionMismatchError))
         if not 1 <= self.h <= self.T:
             raise DimensionMismatchError(f"requires 1 <= h <= T, got h={self.h}, T={self.T}")
         if self.rank_def.h != self.h:
@@ -434,20 +437,22 @@ def estimate_rank_def_dist(observations, h: int, kind: str = "deficiency") -> Ra
     h - rank values, "rank" for raw ranks (converted internally).  The
     received matrix has the transfer matrix's rank deficiency whenever the
     transmitted matrix is full-rank, which holds here by construction.
+    ``observations`` is an iterable or 1-D array of integers in [0, h].
     """
     if kind not in ("deficiency", "rank"):
         raise ValueError(f"kind must be 'deficiency' or 'rank', got {kind!r}")
-    counts = np.zeros(h + 1, dtype=np.int64)
-    total = 0
-    for obs in observations:
-        o = int(obs)
-        if not 0 <= o <= h:
-            raise ObservationOutOfRangeError(f"observation {o} outside [0, {h}]")
-        counts[o if kind == "deficiency" else h - o] += 1
-        total += 1
-    if total == 0:
+    try:
+        obs = np.asarray(observations if isinstance(observations, np.ndarray) else list(observations))
+    except ValueError:  # ragged nesting
+        obs = None
+    if obs is not None and obs.size == 0:
         raise InsufficientDataError("cannot estimate a distribution from zero observations")
-    return RankDefDist(h, counts / total)
+    if obs is None or obs.ndim != 1 or obs.dtype.kind not in "iu":
+        raise InvalidParameterError("observations must be a flat sequence of integers")
+    if obs.min() < 0 or obs.max() > h:
+        raise ObservationOutOfRangeError(f"observations must lie in [0, {h}], got {obs.min()}..{obs.max()}")
+    counts = np.bincount(obs.astype(np.int64), minlength=h + 1)
+    return RankDefDist(h, (counts if kind == "deficiency" else counts[::-1]) / obs.size)
 
 
 def dmc_to_dict(dmc: Dmc) -> dict:

@@ -191,10 +191,10 @@ def cmd_simulate(args, parser) -> int:
         parser.error(f"--draws must be >= 1, got {args.draws}")
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
+    base = _resolve_log_base(args.log_base, spec)
     if args.pipeline:
         if args.format == "csv":
             parser.error("the pipeline report is JSON-only")
-        base = _resolve_log_base(args.log_base, spec)
         _est, report = empirical_capacity_pipeline(spec, args.draws, args.seed, base)
         payload = {
             "format_version": 1,

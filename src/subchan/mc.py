@@ -146,7 +146,7 @@ def empirical_capacity_pipeline(
     first = enumerate_grassmannian(spec.field, spec.T, spec.h)[0]
     _canon, dims = simulate_uses(spec, first, draws, _substream(seed, 0))
     deficiencies = (spec.h - dims).astype(np.int64)
-    est = estimate_rank_def_dist(deficiencies.tolist(), spec.h, kind="deficiency")
+    est = estimate_rank_def_dist(deficiencies, spec.h, kind="deficiency")
     counts = np.bincount(deficiencies, minlength=spec.h + 1)
     report = PipelineReport(
         estimated_dist=est,

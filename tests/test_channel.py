@@ -30,6 +30,7 @@ from subchan.errors import (
     DistributionInvalidError,
     EnumerationTooLargeError,
     InsufficientDataError,
+    InvalidParameterError,
     ObservationOutOfRangeError,
 )
 from subchan.gf import GF
@@ -90,6 +91,16 @@ class TestChannelSpec:
             ChannelSpec(F2, 2, 3, RankDefDist(3, [1, 0, 0, 0]))
         with pytest.raises(DistributionInvalidError):
             ChannelSpec(F2, 3, 2, RankDefDist(1, [1, 0]))
+
+    @pytest.mark.parametrize("T, h", [(3.7, 2), (3.0, 2), (3, 2.0), ("3", 2), (3, True), (None, 2)])
+    def test_non_integer_dimensions_rejected(self, T, h):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ChannelSpec(F2, T, h, RankDefDist(2, [1, 0, 0]))
+
+    def test_numpy_integer_dimensions_stored_as_int(self):
+        spec = ChannelSpec(F2, np.int64(3), np.uint8(2), RankDefDist(2, [1, 0, 0]))
+        assert type(spec.T) is int and type(spec.h) is int
+        assert spec == ChannelSpec(F2, 3, 2, RankDefDist(2, [1, 0, 0]))
 
     def test_json_round_trip(self):
         spec, warnings = channel_spec_from_dict(channel_spec_to_dict(MIXED))
@@ -355,6 +366,21 @@ class TestEstimateRankDefDist:
     def test_empty_stream(self):
         with pytest.raises(InsufficientDataError):
             estimate_rank_def_dist([], 2)
+        with pytest.raises(InsufficientDataError):
+            estimate_rank_def_dist(np.array([], dtype=np.int64), 2)
+
+    @pytest.mark.parametrize(
+        "observations",
+        [[0, 1, 2.9], [0.0, 1.0], np.array([0.5]), [True, False], ["1"], [[0, 1], [1, 0]], [[0], [0, 1]]],
+    )
+    def test_non_integer_observations_rejected(self, observations):
+        with pytest.raises(InvalidParameterError, match="flat sequence of integers"):
+            estimate_rank_def_dist(observations, 2)
+
+    def test_array_and_iterator_inputs(self):
+        expected = [0.5, 0.25, 0.25]
+        for observations in (np.array([0, 2, 1, 0], dtype=np.uint8), iter([0, 2, 1, 0]), (0, 2, 1, 0)):
+            assert estimate_rank_def_dist(observations, 2).probs.tolist() == expected
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

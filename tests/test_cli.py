@@ -84,7 +84,9 @@ class TestCapacity:
         assert "log-base" in err
 
     @pytest.mark.parametrize("base", ["nan", "inf"])
-    @pytest.mark.parametrize("command", [["capacity"], ["simulate", "--draws", "10", "--pipeline"]])
+    @pytest.mark.parametrize(
+        "command", [["capacity"], ["simulate", "--draws", "10", "--pipeline"], ["simulate", "--draws", "5"]]
+    )
     def test_non_finite_log_base_exit_2(self, capsys, command, base):
         code, out, err = _run(capsys, [*command, *INLINE, "--log-base", base])
         assert code == 2

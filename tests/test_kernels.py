@@ -10,7 +10,7 @@ import pytest
 from subchan import _kernels
 from subchan.channel import ChannelSpec, RankDefDist
 from subchan.gf import GF
-from subchan.mc import mc_report_to_dict, run_mc
+from subchan.mc import empirical_capacity_pipeline, mc_report_to_dict, run_mc
 
 FIELDS = [2, 3, 4, 5, 9]
 SHAPES = [(1, 1), (2, 2), (2, 3), (3, 2), (4, 5), (0, 3), (3, 0), (1, 6)]
@@ -119,24 +119,77 @@ def test_gf2_numpy_kernels_match_reference_loops(cols):
         assert np.array_equal(mm, _ref_matmul_batch(a, mats, add_t, mul_t)), rows
 
 
+@pytest.mark.parametrize("q", [2, 4, 8])
 @pytest.mark.parametrize("cols, packed", [(64, True), (65, False)])
-def test_gf2_packed_path_taken_up_to_64_columns(monkeypatch, cols, packed):
-    add_t, mul_t, inv_t, neg_t = _tables(2)
-    mats = _gf2_mats(np.random.default_rng(0), 3, 2, cols)
-    taken = []
-    for name in ("_eliminate_gf2_packed", "_matmul_gf2_packed"):
-        original = getattr(_kernels, name)
-
-        def spy(*args, _original=original, _name=name):
-            taken.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(_kernels, name, spy)
+def test_packed_path_taken_up_to_64_columns(monkeypatch, q, cols, packed):
+    add_t, mul_t, inv_t, neg_t = _tables(q)
+    mats = _random_mats(q, 3, 2, cols, seed=0)
+    planes = []
+    original = _kernels._pack
+    monkeypatch.setattr(_kernels, "_pack", lambda m, k: planes.append(k) or original(m, k))
     _kernels.rref_batch(mats, add_t, mul_t, inv_t, neg_t)
     _kernels.rank_batch(mats, add_t, mul_t, inv_t, neg_t)
     _kernels.matmul_batch(mats[:, :, :2], mats, add_t, mul_t)
-    expected = ["_eliminate_gf2_packed", "_eliminate_gf2_packed", "_matmul_gf2_packed"]
-    assert taken == (expected if packed else [])
+    k = q.bit_length() - 1
+    assert planes == ([k, k, k] if packed else [])
+
+
+# The bit-plane path covers GF(2^k); 0 and 65 columns take the table path.
+PLANE_FIELDS = [2, 4, 8, 16, 256]
+PLANE_COLS = [0, 1, 7, 8, 9, 63, 64, 65]
+
+
+def _char2_mats(rng, q, count, rows, cols):
+    """Random GF(q) matrices: a zero matrix, then in turn dense ones, sparse
+    ones (zero rows and rank deficiency), and ones whose last row repeats the
+    first."""
+    mats = rng.integers(0, q, size=(count, rows, cols), dtype=np.uint8)
+    mats[0] = 0
+    mats[1::3] *= (rng.random(mats[1::3].shape) < 0.2).astype(np.uint8)
+    if rows > 1:
+        mats[2::3, -1] = mats[2::3, 0]
+    return mats
+
+
+@pytest.mark.parametrize("q", PLANE_FIELDS)
+@pytest.mark.parametrize("cols", PLANE_COLS)
+def test_plane_kernels_match_reference_loops(monkeypatch, q, cols):
+    # Blocks of 4 matrices, so the 7-matrix batches cross a block boundary.
+    monkeypatch.setattr(_kernels, "_BLOCK", 4)
+    tables = _tables(q)
+    add_t, mul_t = tables[:2]
+    rng = np.random.default_rng(q * 1000 + cols)
+    for rows in [0, 1, 2, 3, 5, cols + 1]:
+        count = 7 if rows * cols <= 200 else 2
+        mats = _char2_mats(rng, q, count, rows, cols)
+        ref_rref, ref_ranks = _ref_rref_batch(mats, *tables)
+        rs, ranks = _kernels.rref_batch(mats, *tables)
+        assert rs.dtype == np.uint8 and rs.flags.c_contiguous and ranks.dtype == np.int64
+        assert np.array_equal(rs, ref_rref), rows
+        assert np.array_equal(ranks, ref_ranks), rows
+        assert np.array_equal(_kernels.rank_batch(mats, *tables), ref_ranks), rows
+        a = _char2_mats(rng, q, count, 3, rows)
+        mm = _kernels.matmul_batch(a, mats, add_t, mul_t)
+        assert mm.dtype == np.uint8 and mm.flags.c_contiguous
+        assert np.array_equal(mm, _ref_matmul_batch(a, mats, add_t, mul_t)), rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_batch_larger_than_one_block(q):
+    """Matrices on both sides of a block boundary match the reference loops."""
+    tables = _tables(q)
+    n = _kernels._BLOCK + 3
+    mats = _random_mats(q, n, 2, 3, seed=q)
+    a = _random_mats(q, n, 3, 2, seed=q + 1)
+    edge = slice(n - 6, n)
+    ref_rref, ref_ranks = _ref_rref_batch(mats[edge], *tables)
+    rs, ranks = _kernels.rref_batch(mats, *tables)
+    assert rs.shape == mats.shape and ranks.shape == (n,)
+    assert np.array_equal(rs[edge], ref_rref)
+    assert np.array_equal(ranks[edge], ref_ranks)
+    assert np.array_equal(_kernels.rank_batch(mats, *tables)[edge], ref_ranks)
+    out = _kernels.matmul_batch(a, mats, *tables[:2])
+    assert np.array_equal(out[edge], _ref_matmul_batch(a[edge], mats[edge], *tables[:2]))
 
 
 # sha256 of json.dumps(mc_report_to_dict(run_mc(spec, 2000, 1)), sort_keys=True),
@@ -152,6 +205,37 @@ def test_gf2_packed_path_taken_up_to_64_columns(monkeypatch, cols, packed):
 def test_gf2_mc_report_golden_hash(T, h, rank_def, digest):
     report = run_mc(ChannelSpec(GF(2), T, h, RankDefDist(h, rank_def)), 2000, 1)
     text = json.dumps(mc_report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Digests recorded with the table-driven GF(4) and GF(8) kernels, which the
+# bit-plane kernels replaced: seeded reports must stay bit-identical.
+def test_gf4_mc_report_golden_hash():
+    report = run_mc(ChannelSpec(GF(4), 3, 2, RankDefDist(2, (0.5, 0.3, 0.2))), 2000, 1)
+    text = json.dumps(mc_report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e3c74e24faa95e8a3cef7c0eef3cee1b991543043210157474df6c7392d73214"
+    )
+
+
+@pytest.mark.parametrize(
+    "q, T, h, digest",
+    [
+        (4, 5, 3, "9dc0793a4f0d012bdf8c712919ee378665d69cb79a1a73c88c93f1a42f119387"),
+        (8, 4, 2, "cf65e7a911d5154f266de6bfb1d800fb7c23f7b4daa2fc856e6ebdb7685d7188"),
+    ],
+)
+def test_pipeline_report_golden_hash(q, T, h, digest):
+    _est, report = empirical_capacity_pipeline(ChannelSpec(GF(q), T, h, RankDefDist.uniform(h)), 20000, 1)
+    text = json.dumps(
+        {
+            "counts": report.deficiency_counts,
+            "estimated": report.estimated_dist.probs.tolist(),
+            "capacity_estimated": report.capacity_estimated.to_dict(),
+            "capacity_true": report.capacity_true.to_dict(),
+        },
+        sort_keys=True,
+    )
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
