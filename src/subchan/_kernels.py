@@ -207,20 +207,20 @@ def _eliminate_table(mats, add_t, mul_t, inv_t, neg_t, full):
 
 def matmul_batch(a, b, add_t, mul_t):
     """Products a[s] @ b[s] of two (nmat, n, k) and (nmat, k, m) stacks."""
-    if len(a) > _BLOCK:
-        blocks = range(0, len(a), _BLOCK)
-        return np.concatenate([matmul_batch(a[s : s + _BLOCK], b[s : s + _BLOCK], add_t, mul_t) for s in blocks])
-    k = _plane_count(add_t, b.shape[2])
-    if k:  # row i of a product XORs a[s, i, t] times row t of b over t
-        planes, a_bits = _pack(b, k), _bits(a, k)
-        out = np.zeros((k,) + a.shape[:2], dtype=np.uint64)
-        for t in range(a.shape[2]):
-            out ^= _scale(planes[:, t, :, None], a_bits[..., t], mul_t)
-        return np.ascontiguousarray(_unpack(out, b.shape[2]))
-    out = np.zeros((len(a), a.shape[1], b.shape[2]), dtype=np.uint8)
-    for t in range(a.shape[2]):
-        out = add_t[out, mul_t[a[:, :, t, None], b[:, t, None, :]]]
-    return out
+    k, parts = _plane_count(add_t, b.shape[2]), []
+    for ab, bb in ((a[s : s + _BLOCK], b[s : s + _BLOCK]) for s in range(0, max(len(a), 1), _BLOCK)):
+        if k:  # row i of a product XORs a[s, i, t] times row t of b over t
+            planes, a_bits = _pack(bb, k), _bits(ab, k)
+            out = np.zeros((k,) + ab.shape[:2], dtype=np.uint64)
+            for t in range(ab.shape[2]):
+                out ^= _scale(planes[:, t, :, None], a_bits[..., t], mul_t)
+            out = np.ascontiguousarray(_unpack(out, bb.shape[2]))
+        else:
+            out = np.zeros((len(ab), ab.shape[1], bb.shape[2]), dtype=np.uint8)
+            for t in range(ab.shape[2]):
+                out = add_t[out, mul_t[ab[:, :, t, None], bb[:, t, None, :]]]
+        parts.append(out)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):

@@ -192,6 +192,23 @@ def test_batch_larger_than_one_block(q):
     assert np.array_equal(out[edge], _ref_matmul_batch(a[edge], mats[edge], *tables[:2]))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_blocks_do_not_reenter_the_public_kernels(monkeypatch, q):
+    """A batch of several blocks is one call of each public kernel, so the
+    benchmark's traced call and matrix counts do not depend on the block size."""
+    monkeypatch.setattr(_kernels, "_BLOCK", 4)
+    tables = _tables(q)
+    calls = []
+    for name in ("matmul_batch", "rank_batch", "rref_batch"):
+        original = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    mats = _random_mats(q, 10, 2, 3, seed=q)
+    _kernels.rank_batch(mats, *tables)
+    _kernels.rref_batch(mats, *tables)
+    _kernels.matmul_batch(mats[:, :, :2], mats, *tables[:2])
+    assert calls == ["rank_batch", "rref_batch", "matmul_batch"]
+
+
 # sha256 of json.dumps(mc_report_to_dict(run_mc(spec, 2000, 1)), sort_keys=True),
 # recorded with the table-driven GF(2) elimination: the packed kernels must
 # reproduce every seeded report bit for bit.
