@@ -43,7 +43,6 @@ from .errors import (
     FieldMismatchError,
     InsufficientDataError,
     InvalidParameterError,
-    InvalidRankError,
     NonConvergenceError,
     NotPrimePowerError,
     NotRowStochasticError,
@@ -70,7 +69,6 @@ from .matrix import (
     rank,
     rref,
     sample_full_rank,
-    sample_matrix_with_rank,
 )
 from .mc import (
     McReport,

@@ -223,9 +223,6 @@ def blahut_arimoto(
     p = np.full(n_inputs, 1.0 / n_inputs)
     tol_nats = tol * math.log(2.0) * divisor
 
-    estimate_nats = 0.0
-    gap_nats = math.inf
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         out = p @ trans
         kl = (trans * (log_trans - np.where(out > 0, np.log(np.where(out > 0, out, 1.0)), 0.0))).sum(axis=1)
@@ -233,29 +230,23 @@ def blahut_arimoto(
         s = float(p @ c)
         lower = math.log(s)
         upper = math.log(float(c.max()))
-        estimate_nats = lower
         # upper >= lower exactly; float rounding can push the difference below 0.
         gap_nats = max(upper - lower, 0.0)
-        if gap_nats <= tol_nats:
-            p = p * c / s
-            p /= p.sum()
-            return BaSolution(
-                capacity_estimate=estimate_nats / math.log(2.0) / divisor,
-                input_distribution=p,
-                iterations=iterations,
-                gap_bound=gap_nats / math.log(2.0) / divisor,
-            )
         p = p * c / s
         p /= p.sum()
+        if gap_nats <= tol_nats:
+            break
 
-    best = BaSolution(
-        capacity_estimate=estimate_nats / math.log(2.0) / divisor,
+    solution = BaSolution(
+        capacity_estimate=lower / math.log(2.0) / divisor,
         input_distribution=p,
         iterations=iterations,
         gap_bound=gap_nats / math.log(2.0) / divisor,
     )
-    raise NonConvergenceError(
-        f"Blahut-Arimoto did not reach gap <= {tol} within {max_iters} iterations "
-        f"(best gap {best.gap_bound:.3e})",
-        solution=best,
-    )
+    if gap_nats > tol_nats:
+        raise NonConvergenceError(
+            f"Blahut-Arimoto did not reach gap <= {tol} within {max_iters} iterations "
+            f"(best gap {solution.gap_bound:.3e})",
+            solution=solution,
+        )
+    return solution

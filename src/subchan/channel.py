@@ -2,9 +2,12 @@
 
 Input symbols are the h-dimensional subspaces of F_q^T; output symbols are
 subspaces of any dimension 0..h.  One channel use picks a uniformly random
-ordered basis X of the input subspace, multiplies by a transfer matrix G of
-random rank deficiency r (drawn from the channel's rank-deficiency
-distribution), and outputs the row space of G X.
+ordered basis X of the input subspace (basis selection), draws a rank
+deficiency r from the channel's rank-deficiency distribution, applies the
+fixed transfer diag(I_{h-r}, 0) to X, and outputs the row space of the
+product: the span of the first h - r rows of X.  Basis selection alone makes
+the law the same for every transfer of rank h - r, so one fixed transfer per
+rank deficiency simulates the channel.
 
 The analytical transition law this simulation follows is
 
@@ -37,6 +40,7 @@ from .gf import GF
 from .grassmann import (
     GrassmannianIndex,
     Subspace,
+    _random_ordered_bases,
     contains,
     enumerate_grassmannian,
     gaussian_coefficient,
@@ -44,7 +48,7 @@ from .grassmann import (
     subspace_label,
     subspaces_of_batch,
 )
-from .matrix import Mat, sample_full_rank_batch, sample_matrix_with_rank_batch
+from .matrix import Mat
 
 __all__ = [
     "ChannelSpec",
@@ -67,6 +71,8 @@ __all__ = [
 ]
 
 _SUM_TOLERANCE = 1e-9
+# Draws per chunk of simulate_uses; part of the seeded stream's definition.
+_CHUNK = 65_536
 
 
 class RankDefDist:
@@ -360,30 +366,31 @@ def simulate_uses(
     """``draws`` channel uses of input u: returns the (draws, h, T) canonical
     RREF output bases (zero-padded) and the (draws,) output dimensions.
 
-    The stream is consumed in a fixed order: all rank deficiencies, then all
-    basis selectors (uniform full-rank h x h matrices applied to u's canonical
-    basis, i.e. uniform ordered bases of u), then the transfer matrices,
-    grouped by ascending deficiency.
+    Each use draws a rank deficiency d and a uniform ordered basis X of u
+    (a uniform full-rank h x h selector applied to u's canonical basis), and
+    outputs the row space of diag(I_{h-d}, 0) X: the first h - d rows of X.
+    Draws run in consecutive chunks of 65,536; each chunk consumes the
+    stream in a fixed order, all its deficiencies, then all its selectors.
     """
+    _check_input_subspace(spec, u)
+    draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
     cdf = np.cumsum(spec.rank_def.probs)
-    defs = np.minimum(np.searchsorted(cdf, rng.random(draws), side="right"), h)
-    selectors = sample_full_rank_batch(f, h, h, draws, rng)
-    x = _kernels.matmul_batch(
-        selectors, np.repeat(u.basis.array[None, :, :], draws, axis=0), f.add_table, f.mul_table
-    )
-    g = np.zeros((draws, h, h), dtype=np.uint8)
-    for d in range(h + 1):
-        idx = np.nonzero(defs == d)[0]
-        if idx.size:
-            g[idx] = sample_matrix_with_rank_batch(f, h, h, h - d, idx.size, rng)
-    y = _kernels.matmul_batch(g, x, f.add_table, f.mul_table)
-    return _kernels.rref_batch(y, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+    canon = np.empty((draws, h, spec.T), dtype=np.uint8)
+    dims = np.empty(draws, dtype=np.int64)
+    for start in range(0, draws, _CHUNK):
+        stop = min(start + _CHUNK, draws)
+        defs = np.minimum(np.searchsorted(cdf, rng.random(stop - start), side="right"), h)
+        x = _random_ordered_bases(u, stop - start, rng)
+        x[np.arange(h) >= h - defs[:, None]] = 0
+        canon[start:stop], dims[start:stop] = _kernels.rref_batch(
+            x, f.add_table, f.mul_table, f.inv_table, f.neg_table
+        )
+    return canon, dims
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One operational channel use: a batch of one of ``simulate_uses``."""
-    _check_input_subspace(spec, u)
+    """One channel use of input u: a batch of one of ``simulate_uses``."""
     canon, dims = simulate_uses(spec, u, 1, rng)
     return Subspace(spec.field, spec.T, Mat(spec.field, canon[0, : dims[0]]))
 

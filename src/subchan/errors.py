@@ -23,10 +23,6 @@ class AmbientMismatchError(SubchanError, ValueError):
     """Subspaces live in different ambient spaces."""
 
 
-class InvalidRankError(SubchanError, ValueError):
-    """Requested rank is outside [0, min(n, m)]."""
-
-
 class EnumerationTooLargeError(SubchanError, ValueError):
     """An enumeration would exceed the configured size cap."""
 

@@ -30,7 +30,7 @@ from .errors import (
     _check_int,
 )
 from .gf import GF, _factor_prime_power
-from .matrix import Mat, matmul, rank, rref, sample_full_rank
+from .matrix import Mat, rank, rref, sample_full_rank_batch
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -329,14 +329,20 @@ def enumerate_subspaces_of(u: Subspace, dim: int, cap: int | None = None) -> lis
     return [Subspace(u.field, u.ambient_dim, Mat(u.field, c)) for c in canon]
 
 
-def random_ordered_basis(u: Subspace, rng: np.random.Generator) -> Mat:
-    """Uniform draw over the ordered bases spanning u.
+def _random_ordered_bases(u: Subspace, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count uniform draws over the ordered bases spanning u, as a
+    (count, dim u, T) array.
 
     Left-multiplying the canonical basis by a uniform element of GL(h, q)
     is uniform over all prod_{i=1}^h (q^h - q^{i-1}) ordered bases, because
     the GL(h, q) action on ordered bases of u is simply transitive.
     """
-    if u.dim == 0:
-        return Mat.zeros(u.field, 0, u.ambient_dim)
-    a = sample_full_rank(u.field, u.dim, u.dim, rng)
-    return matmul(a, u.basis)
+    f, h = u.field, u.dim
+    selectors = sample_full_rank_batch(f, h, h, count, rng)
+    basis = np.broadcast_to(u.basis.array, (count, h, u.ambient_dim))
+    return _kernels.matmul_batch(selectors, basis, f.add_table, f.mul_table)
+
+
+def random_ordered_basis(u: Subspace, rng: np.random.Generator) -> Mat:
+    """Uniform draw over the ordered bases spanning u: a batch of one."""
+    return Mat(u.field, _random_ordered_bases(u, 1, rng)[0])

@@ -1,4 +1,4 @@
-"""Dense matrices over GF(q): product, RREF, rank, and rank-prescribed sampling.
+"""Dense matrices over GF(q): product, RREF, rank, and full-rank sampling.
 
 A Mat is an immutable pairing of a GF(q) field with a 2-D uint8 array of
 element encodings.  Degenerate shapes (0 rows or 0 columns) are legal and
@@ -6,7 +6,7 @@ represent bases of the zero space.
 
 Sampling takes a numpy ``Generator`` (``np.random.default_rng(seed)``); all
 randomness flows through it, so a fixed seed gives a fixed draw sequence.
-The samplers draw batches; a single-matrix draw is a batch of one.
+The sampler draws batches; a single-matrix draw is a batch of one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatchError, FieldMismatchError, InvalidParameterError, InvalidRankError
+from .errors import DimensionMismatchError, FieldMismatchError, InvalidParameterError
 from .gf import GF
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "rank",
     "sample_full_rank",
     "sample_full_rank_batch",
-    "sample_matrix_with_rank",
-    "sample_matrix_with_rank_batch",
 ]
 
 
@@ -151,34 +149,7 @@ def sample_full_rank_batch(field: GF, n: int, m: int, count: int, rng: np.random
     return out
 
 
-def sample_matrix_with_rank_batch(
-    field: GF, n: int, m: int, rank_: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """count random n x m matrices of exactly the requested rank, as a
-    (count, n, m) array.
-
-    Each is A @ B with A (n x rank) and B (rank x m) uniform over full-rank
-    matrices of their shape; all A factors are drawn before all B factors.
-    The composite is not uniform over all rank-r matrices, which is
-    acceptable here: the subspace channel law is identical for every rank-r
-    realization, so only the rank matters.
-    """
-    if not 0 <= rank_ <= min(n, m):
-        raise InvalidRankError(f"rank {rank_} not in [0, {min(n, m)}] for {n}x{m}")
-    if rank_ == 0:
-        return np.zeros((count, n, m), dtype=np.uint8)
-    a = sample_full_rank_batch(field, n, rank_, count, rng)
-    b = sample_full_rank_batch(field, rank_, m, count, rng)
-    return _kernels.matmul_batch(a, b, field.add_table, field.mul_table)
-
-
 def sample_full_rank(field: GF, n: int, m: int, rng: np.random.Generator) -> Mat:
     """Uniform draw over full-rank n x m matrices: a batch of one."""
     return Mat(field, sample_full_rank_batch(field, n, m, 1, rng)[0])
 
-
-def sample_matrix_with_rank(
-    field: GF, n: int, m: int, rank_: int, rng: np.random.Generator
-) -> Mat:
-    """Random n x m matrix of exactly the requested rank: a batch of one."""
-    return Mat(field, sample_matrix_with_rank_batch(field, n, m, rank_, 1, rng)[0])

@@ -4,12 +4,14 @@ spec-file / export interfaces."""
 
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import CHI2_CRIT_P001, chi2_statistic, matrices_by_rank
+from subchan import _kernels
 from subchan.channel import (
     ChannelSpec,
     RankDefDist,
@@ -23,6 +25,7 @@ from subchan.channel import (
     dmc_to_dict,
     estimate_rank_def_dist,
     simulate_one_use,
+    simulate_uses,
     transition_prob,
 )
 from subchan.errors import (
@@ -37,7 +40,10 @@ from subchan.gf import GF
 from subchan.grassmann import (
     Subspace,
     contains,
+    count_ordered_bases,
+    enumerate_grassmannian,
     enumerate_subspaces_of,
+    gaussian_coefficient,
     span,
     subspace_label,
 )
@@ -315,6 +321,56 @@ class TestSimulateOneUse:
             simulate_one_use(DELTA0, V100, np.random.default_rng(0))
 
 
+class TestSimulateUses:
+    SPEC = _spec([0.5, 0.3, 0.2], T=4)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            span(Mat.from_rows(GF(3), [[1, 0, 0, 0], [0, 1, 0, 0]])),
+            U,
+            span(Mat.from_rows(F2, [[1, 0, 0, 0]])),
+        ],
+        ids=["other-field", "other-ambient", "wrong-dimension"],
+    )
+    def test_input_subspace_checked(self, u):
+        with pytest.raises(DimensionMismatchError):
+            simulate_uses(self.SPEC, u, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "draws, error",
+        [
+            (0, InsufficientDataError),
+            (-1, InsufficientDataError),
+            (2.5, InvalidParameterError),
+            (True, InvalidParameterError),
+        ],
+    )
+    def test_draw_count_checked(self, draws, error):
+        u = span(Mat.from_rows(F2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        with pytest.raises(error):
+            simulate_uses(self.SPEC, u, draws, np.random.default_rng(0))
+
+    def test_memory_beyond_the_outputs_does_not_grow_with_the_draw_count(self):
+        """Peak traced memory of one call, less twice the returned arrays, is
+        flat in the draw count: draws are simulated in fixed-size chunks."""
+        f = GF(4)
+        spec = ChannelSpec(f, 5, 3, RankDefDist.uniform(3))
+        u = span(Mat(f, np.eye(3, 5, dtype=np.uint8)))
+
+        def excess(draws):
+            tracemalloc.start()
+            try:
+                canon, dims = simulate_uses(spec, u, draws, np.random.default_rng(0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 2 * (canon.nbytes + dims.nbytes)
+
+        excess(10)  # warm the lazily built field and kernel tables
+        assert excess(300_000) - excess(100_000) < 1 << 20
+
+
 class TestBasisInvariance:
     """Marginalizing over the random basis makes the output law independent
     of which fixed rank-r transfer matrix acted."""
@@ -330,6 +386,37 @@ class TestBasisInvariance:
             counts[v] = counts.get(v, 0) + 1
         assert set(counts) == set(enumerate_subspaces_of(U, 1))
         assert set(counts.values()) == {2}
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_single_transfer_gives_the_law_over_all_bases(self, q):
+        """For each input U and each single 2 x 2 transfer G, the exact law of
+        row(G X) over all |GL(2, q)| ordered bases X of U is uniform over the
+        subspaces of U of dimension rank(G), as rationals."""
+        f, T, h = GF(q), 3, 2
+        tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
+        transfers = matrices_by_rank(q, h, h)
+        assert sum(map(len, transfers.values())) == q ** (h * h)
+        selectors = np.array(transfers[h])
+        n_bases = count_ordered_bases(h, q)
+        assert len(selectors) == n_bases
+        for u in enumerate_grassmannian(f, T, h):
+            canonical = np.broadcast_to(u.basis.array, (n_bases, h, T))
+            bases = _kernels.matmul_batch(selectors, canonical, *tables[:2])
+            assert len({b.tobytes() for b in bases}) == n_bases
+            assert all(span(Mat(f, b)) == u for b in bases)
+            for r, gs in transfers.items():
+                g = np.repeat(np.array(gs), n_bases, axis=0)
+                x = np.tile(bases, (len(gs), 1, 1))
+                canon, dims = _kernels.rref_batch(_kernels.matmul_batch(g, x, *tables[:2]), *tables)
+                assert np.all(dims == r)
+                index = enumerate_grassmannian(f, T, r)
+                outputs = index.indices(canon[:, :r]).reshape(len(gs), n_bases)
+                support = {index.index_of(v) for v in enumerate_subspaces_of(u, r)}
+                expected = {j: Fraction(1, gaussian_coefficient(h, r, q)) for j in support}
+                for row in outputs:
+                    values, counts = np.unique(row, return_counts=True)
+                    law = {int(j): Fraction(int(c), n_bases) for j, c in zip(values, counts)}
+                    assert law == expected, (u, r)
 
     def test_without_the_selector_the_output_depends_on_the_transfer_matrix(self):
         """Regression for the worked examples: fixed basis X', transfer

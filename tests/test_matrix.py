@@ -1,10 +1,10 @@
-"""Mat operations: product, RREF, rank, and the rank-prescribed samplers."""
+"""Mat operations: product, RREF, rank, and the full-rank sampler."""
 
 import numpy as np
 import pytest
 
 from conftest import CHI2_CRIT_P001, all_matrices, chi2_statistic
-from subchan.errors import DimensionMismatchError, FieldMismatchError, InvalidRankError, SubchanError
+from subchan.errors import DimensionMismatchError, FieldMismatchError, SubchanError
 from subchan.gf import GF
 from subchan.grassmann import span, subspace_label
 from subchan.matrix import (
@@ -13,7 +13,6 @@ from subchan.matrix import (
     rank,
     rref,
     sample_full_rank,
-    sample_matrix_with_rank,
 )
 
 F2 = GF(2)
@@ -141,41 +140,6 @@ class TestSampleFullRank:
         rng = np.random.default_rng(2)
         m = sample_full_rank(F2, 0, 3, rng)
         assert (m.rows, m.cols) == (0, 3)
-
-
-class TestSampleMatrixWithRank:
-    def test_rank_zero_is_zero_matrix(self):
-        rng = np.random.default_rng(0)
-        assert sample_matrix_with_rank(F2, 3, 3, 0, rng) == Mat.zeros(F2, 3, 3)
-
-    def test_full_rank_square_is_invertible(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            assert rank(sample_matrix_with_rank(F2, 2, 2, 2, rng)) == 2
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_measured_rank_equals_request_on_every_draw(self, q):
-        f = GF(q)
-        rng = np.random.default_rng(q * 11)
-        for n, m in ((2, 2), (3, 2), (2, 4), (3, 3)):
-            for r in range(min(n, m) + 1):
-                for _ in range(25):
-                    assert rank(sample_matrix_with_rank(f, n, m, r, rng)) == r
-
-    def test_both_worked_example_matrices_are_reachable(self):
-        rng = np.random.default_rng(5)
-        seen = set()
-        for _ in range(500):
-            seen.add(sample_matrix_with_rank(F2, 2, 2, 1, rng).array.tobytes())
-        assert G.array.tobytes() in seen
-        assert G_PRIME.array.tobytes() in seen
-
-    def test_invalid_rank_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidRankError):
-            sample_matrix_with_rank(F2, 2, 3, 3, rng)
-        with pytest.raises(InvalidRankError):
-            sample_matrix_with_rank(F2, 2, 3, -1, rng)
 
 
 class TestMatValidation:
