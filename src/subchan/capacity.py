@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .channel import ChannelSpec, Dmc
 from .errors import (
     DistributionInvalidError,
     InvalidParameterError,
@@ -30,9 +30,6 @@ from .errors import (
     _check_int,
 )
 from .grassmann import gaussian_coefficient
-
-if TYPE_CHECKING:
-    from .channel import ChannelSpec
 
 __all__ = [
     "BaSolution",
@@ -98,8 +95,9 @@ class BaSolution:
 
 def component_capacity(q: int, T: int, h: int, rho: int, log_base: float = 2.0) -> float:
     """Capacity of the component channel for rank deficiency rho."""
-    if not 0 <= rho <= h <= T:
-        raise ValueError(f"requires 0 <= rho <= h <= T, got rho={rho}, h={h}, T={T}")
+    T = _check_int("T", T, 0)
+    h = _check_int("h", h, 0, maximum=T)
+    rho = _check_int("rho", rho, 0, maximum=h)
     num = gaussian_coefficient(T, h - rho, q)
     den = gaussian_coefficient(h, h - rho, q)
     bits = math.log2(num) - math.log2(den)
@@ -116,7 +114,7 @@ def _units_note(q: int, log_base: float) -> str:
     return f"log-base-{log_base:g} units per channel use"
 
 
-def capacity_closed_form(spec: "ChannelSpec", log_base: float = 2.0) -> CapacityReport:
+def capacity_closed_form(spec: ChannelSpec, log_base: float = 2.0) -> CapacityReport:
     """Closed-form channel capacity: the rank-deficiency-weighted sum of
     component capacities."""
     q, T, h = spec.field.q, spec.T, spec.h
@@ -138,8 +136,7 @@ def strongly_symmetric_capacity(trans_row, num_outputs: int, log_base: float = 2
     row = np.asarray(trans_row, dtype=np.float64)
     if not (np.all(row >= 0) and abs(float(row.sum()) - 1.0) <= _ROW_SUM_TOL):
         raise DistributionInvalidError("transition row must be a probability vector")
-    if num_outputs < row.size:
-        raise ValueError(f"row has {row.size} entries but only {num_outputs} outputs declared")
+    num_outputs = _check_int("num_outputs", num_outputs, row.size)
     pos = row[row > 0]
     entropy_bits = float(-(pos * np.log2(pos)).sum())
     bits = math.log2(num_outputs) - entropy_bits
@@ -171,29 +168,46 @@ def _as_transition_matrix(channel) -> np.ndarray:
         raise NotRowStochasticError(f"expected a 2-D transition matrix, got shape {trans.shape}")
     if not np.all(trans >= 0):
         raise NotRowStochasticError("transition matrix has negative or NaN entries")
-    sums = trans.sum(axis=1)
+    return trans
+
+
+def _positive_entries(channel) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """COO triplets (rows, cols, vals) of the positive entries of a
+    row-stochastic channel, and its number of inputs.
+
+    A Dmc supplies them from its support index; any other channel is read as
+    a dense 2-D transition matrix (or an object with one in ``trans``).
+    """
+    if isinstance(channel, Dmc):
+        rows, cols, vals = channel.triplets()
+        n_inputs = channel.num_inputs
+    else:
+        trans = _as_transition_matrix(channel)
+        rows, cols = np.nonzero(trans)
+        vals = trans[rows, cols]
+        n_inputs = trans.shape[0]
+    sums = np.bincount(rows, weights=vals, minlength=n_inputs)
     worst = float(np.max(np.abs(sums - 1.0)))
     if not worst <= _ROW_SUM_TOL:
         raise NotRowStochasticError(f"rows must sum to 1 within {_ROW_SUM_TOL}; worst deviation {worst:.3e}")
-    return trans
+    return rows, cols, vals, n_inputs
 
 
 def mutual_information(channel, input_dist, log_base: float = 2.0) -> float:
     """I(X; Y) = H(Y) - H(Y|X) for a transition matrix (or Dmc) and an input
     distribution, with the 0 log 0 = 0 convention."""
-    trans = _as_transition_matrix(channel)
+    rows, cols, vals, n_inputs = _positive_entries(channel)
     p = np.asarray(input_dist, dtype=np.float64)
-    if p.shape != (trans.shape[0],):
+    if p.shape != (n_inputs,):
         raise DistributionInvalidError(
-            f"input distribution has shape {p.shape}, expected ({trans.shape[0]},)"
+            f"input distribution has shape {p.shape}, expected ({n_inputs},)"
         )
     if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= _ROW_SUM_TOL):
         raise DistributionInvalidError("input distribution must be nonnegative and sum to 1")
-    out = p @ trans
-    active = (trans > 0) & (p[:, None] > 0)
-    safe_out = np.where(out > 0, out, 1.0)
-    logs = np.where(active, np.log2(np.where(active, trans, 1.0) / safe_out[None, :]), 0.0)
-    bits = float((np.where(active, p[:, None] * trans, 0.0) * logs).sum())
+    joint = p[rows] * vals
+    out = np.bincount(cols, weights=joint)
+    active = joint > 0
+    bits = float(joint[active] @ np.log2(vals[active] / out[cols[active]]))
     return bits / _base_divisor(log_base)
 
 
@@ -207,25 +221,25 @@ def blahut_arimoto(
 
     Starts from the uniform input distribution and stops when the standard
     per-iteration upper and lower capacity bounds differ by at most ``tol``
-    (in ``log_base`` units).  Output columns with zero total mass are dropped
-    before iterating.  Raises NonConvergenceError (carrying the best solution
-    found) if ``max_iters`` is hit first.
+    (in ``log_base`` units).  Iterates on the positive entries only, so
+    output columns with zero total mass take no part.  Raises
+    NonConvergenceError (carrying the best solution found) if ``max_iters``
+    is hit first.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(f"tol must be a finite number > 0, got {tol}")
     max_iters = _check_int("max_iters", max_iters, 1)
     divisor = _base_divisor(log_base)
-    trans = _as_transition_matrix(channel)
-    trans = trans[:, trans.sum(axis=0) > 0]
-    n_inputs = trans.shape[0]
+    rows, cols, vals, n_inputs = _positive_entries(channel)
 
-    log_trans = np.where(trans > 0, np.log(np.where(trans > 0, trans, 1.0)), 0.0)
+    log_vals = np.log(vals)
     p = np.full(n_inputs, 1.0 / n_inputs)
     tol_nats = tol * math.log(2.0) * divisor
 
     for iterations in range(1, max_iters + 1):
-        out = p @ trans
-        kl = (trans * (log_trans - np.where(out > 0, np.log(np.where(out > 0, out, 1.0)), 0.0))).sum(axis=1)
+        out = np.bincount(cols, weights=p[rows] * vals)
+        log_out = np.log(np.where(out > 0, out, 1.0))
+        kl = np.bincount(rows, weights=vals * (log_vals - log_out[cols]), minlength=n_inputs)
         c = np.exp(kl)
         s = float(p @ c)
         lower = math.log(s)

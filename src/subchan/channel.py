@@ -14,14 +14,15 @@ The analytical transition law this simulation follows is
     p(V | U) = p_rankdef(h - dim V) / C(h, dim V)_q   if V is a subspace of U,
                0                                      otherwise,
 
-where C(., .)_q is the q-ary Gaussian coefficient.  ``build_dmc`` materializes
-the law as an explicit transition matrix; ``components`` splits it into the
-h + 1 strongly symmetric sub-channels selected by rank deficiency.
+where C(., .)_q is the q-ary Gaussian coefficient.  ``build_dmc`` stores the
+law by its support, the subspaces of each input; ``components`` splits it
+into the h + 1 strongly symmetric sub-channels selected by rank deficiency.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -85,8 +86,7 @@ class RankDefDist:
     __slots__ = ("h", "probs")
 
     def __init__(self, h: int, probs) -> None:
-        if h < 0:
-            raise DistributionInvalidError(f"h must be nonnegative, got {h}")
+        h = _check_int("h", h, 0, DistributionInvalidError)
         vec = np.asarray(probs, dtype=np.float64)
         if vec.shape != (h + 1,):
             raise DistributionInvalidError(
@@ -101,20 +101,21 @@ class RankDefDist:
             raise DistributionInvalidError(
                 f"rank deficiency probabilities must sum to 1 within {_SUM_TOLERANCE}, got {total!r}"
             )
-        self.h = int(h)
+        self.h = h
         self.probs = vec / total
         self.probs.setflags(write=False)
 
     @classmethod
     def point_mass(cls, h: int, r: int) -> "RankDefDist":
-        if not 0 <= r <= h:
-            raise DistributionInvalidError(f"deficiency {r} outside [0, {h}]")
+        h = _check_int("h", h, 0, DistributionInvalidError)
+        r = _check_int("deficiency", r, 0, DistributionInvalidError, maximum=h)
         vec = np.zeros(h + 1)
         vec[r] = 1.0
         return cls(h, vec)
 
     @classmethod
     def uniform(cls, h: int) -> "RankDefDist":
+        h = _check_int("h", h, 0, DistributionInvalidError)
         return cls(h, np.full(h + 1, 1.0 / (h + 1)))
 
     def __eq__(self, other):
@@ -224,8 +225,7 @@ def conditional_prob_given_rank(spec: ChannelSpec, u: Subspace, v: Subspace, rho
     """Transition probability conditioned on the transfer matrix having rank
     deficiency rho: uniform over the C(h, h-rho)_q subspaces of u of dimension
     h - rho, zero elsewhere."""
-    if not 0 <= rho <= spec.h:
-        raise ValueError(f"deficiency {rho} outside [0, {spec.h}]")
+    rho = _check_int("rho", rho, 0, maximum=spec.h)
     _check_input_subspace(spec, u)
     if v.dim != spec.h - rho or not contains(u, v):
         return 0.0
@@ -289,31 +289,77 @@ class OutputAlphabet:
         return [subspace_label(s) for s in self]
 
 
+def _dense(columns: np.ndarray, width: int, value, dtype) -> np.ndarray:
+    """Read-only (len(columns), width) array holding ``value`` at each row's
+    ``columns`` and zero elsewhere."""
+    out = np.zeros((len(columns), width), dtype=dtype)
+    out[np.arange(len(columns))[:, None], columns] = value
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Dmc:
-    """Explicit transition matrix of the subspace channel.
+    """The transition law of the subspace channel, stored by its support.
 
-    ``trans[i, j]`` is the probability of output ``output_index.subspace_at(j)``
-    given input ``input_index[i]``.  ``component_of_output[j]`` is the rank
-    deficiency rho = h - dim(V_j) selecting the component sub-channel that can
-    produce output j.  ``support_by_dim[d]`` is the boolean inclusion pattern
-    (input i contains output j) for the dimension-d output block.
+    Row i of ``support`` lists the output columns of the subspaces of input
+    ``input_index[i]``: the C(h, d)_q subspaces of each dimension d, the
+    dimension blocks in ascending order.  ``values[k]`` is the law's value
+    p_rankdef(h - d) / C(h, d)_q at slot k, the same in every row; a slot
+    whose deficiency has zero mass holds 0.  ``component_of_output[j]`` is
+    the rank deficiency rho = h - dim(V_j) selecting the component
+    sub-channel that can produce output j.
+
+    ``trans`` (the dense |X| x |Y| matrix: ``trans[i, j]`` is the
+    probability of output ``output_index.subspace_at(j)`` given input
+    ``input_index[i]``) and ``support_by_dim`` (the boolean inclusion
+    pattern of each dimension block) are read-only arrays built from the
+    index on first access.
     """
 
     spec: ChannelSpec
     input_index: GrassmannianIndex
     output_index: OutputAlphabet
-    trans: np.ndarray = dc_field(repr=False)
+    support: np.ndarray = dc_field(repr=False)
+    values: np.ndarray = dc_field(repr=False)
     component_of_output: np.ndarray = dc_field(repr=False)
-    support_by_dim: tuple[np.ndarray, ...] = dc_field(repr=False)
 
     @property
     def num_inputs(self) -> int:
-        return self.trans.shape[0]
+        return self.support.shape[0]
 
     @property
     def num_outputs(self) -> int:
-        return self.trans.shape[1]
+        return len(self.output_index)
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the law's positive entries, row-major."""
+        keep = self.values > 0
+        cols = self.support[:, keep]
+        rows = np.repeat(np.arange(self.num_inputs), cols.shape[1])
+        return rows, cols.ravel(), np.tile(self.values[keep], self.num_inputs)
+
+    def _row(self, i: int) -> np.ndarray:
+        """Dense row i of the law."""
+        return _dense(self.support[i : i + 1], self.num_outputs, self.values, np.float64)[0]
+
+    def _block_columns(self, d: int) -> np.ndarray:
+        """(|X|, C(h, d)_q) positions, within the dimension-d output block, of
+        each input's d-dimensional subspaces."""
+        lo, hi = self.output_index.offsets[d : d + 2]
+        first = self.support[0]
+        return self.support[:, (first >= lo) & (first < hi)] - lo
+
+    @functools.cached_property
+    def trans(self) -> np.ndarray:
+        return _dense(self.support, self.num_outputs, self.values, np.float64)
+
+    @functools.cached_property
+    def support_by_dim(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            _dense(self._block_columns(d), len(block), True, bool)
+            for d, block in enumerate(self.output_index.blocks)
+        )
 
     def __repr__(self):
         return (
@@ -323,7 +369,7 @@ class Dmc:
 
 
 def build_dmc(spec: ChannelSpec, cap: int | None = None) -> Dmc:
-    """Materialize the channel's transition matrix.
+    """Build the channel's transition law.
 
     Output columns are ordered by ascending output dimension (the zero space
     first, the h-dimensional block last), each block in deterministic
@@ -337,27 +383,21 @@ def build_dmc(spec: ChannelSpec, cap: int | None = None) -> Dmc:
     output_index = OutputAlphabet(blocks)
 
     nx = len(input_index)
-    support_by_dim = []
+    support, values = [], []
     for d in range(h + 1):
         canon = subspaces_of_batch(f, input_index.bases, d, cap=cap)
-        pat = np.zeros((nx, len(blocks[d])), dtype=bool)
-        pat[np.repeat(np.arange(nx), len(canon) // nx), blocks[d].indices(canon)] = True
-        pat.setflags(write=False)
-        support_by_dim.append(pat)
-
-    probs = spec.rank_def.probs
-    trans_blocks = []
-    for d in range(h + 1):
-        value = float(probs[h - d]) / gaussian_coefficient(h, d, q)
-        trans_blocks.append(np.where(support_by_dim[d], value, 0.0))
-    trans = np.hstack(trans_blocks)
-    trans.setflags(write=False)
+        support.append(output_index.offsets[d] + blocks[d].indices(canon).reshape(nx, -1))
+        value = float(spec.rank_def.probs[h - d]) / gaussian_coefficient(h, d, q)
+        values.append(np.full(support[-1].shape[1], value))
+    support, values = np.hstack(support), np.concatenate(values)
+    support.setflags(write=False)
+    values.setflags(write=False)
 
     component = np.concatenate(
         [np.full(len(blocks[d]), h - d, dtype=np.int64) for d in range(h + 1)]
     )
     component.setflags(write=False)
-    return Dmc(spec, input_index, output_index, trans, component, tuple(support_by_dim))
+    return Dmc(spec, input_index, output_index, support, values, component)
 
 
 def simulate_uses(
@@ -413,7 +453,7 @@ def components(dmc: Dmc) -> list[DmcComponent]:
 
     Component rho is the channel conditioned on rank deficiency rho: each row
     is uniform over the subspaces of the input of dimension h - rho.  This
-    equals the dimension-(h - rho) column block of ``trans`` divided by the
+    equals the dimension-(h - rho) column block of the law divided by the
     selection probability whenever that probability is nonzero, and stays
     well-defined when it is zero.
     """
@@ -422,16 +462,15 @@ def components(dmc: Dmc) -> list[DmcComponent]:
     out = []
     for rho in range(h + 1):
         d = h - rho
+        block = dmc.output_index.blocks[d]
         value = 1.0 / gaussian_coefficient(h, d, q)
-        trans = np.where(dmc.support_by_dim[d], value, 0.0)
-        trans.setflags(write=False)
         out.append(
             DmcComponent(
                 rho=rho,
                 selection_prob=float(spec.rank_def.probs[rho]),
                 input_index=dmc.input_index,
-                output_index=dmc.output_index.blocks[d],
-                trans=trans,
+                output_index=block,
+                trans=_dense(dmc._block_columns(d), len(block), value, np.float64),
             )
         )
     return out
@@ -447,7 +486,8 @@ def estimate_rank_def_dist(observations, h: int, kind: str = "deficiency") -> Ra
     ``observations`` is an iterable or 1-D array of integers in [0, h].
     """
     if kind not in ("deficiency", "rank"):
-        raise ValueError(f"kind must be 'deficiency' or 'rank', got {kind!r}")
+        raise InvalidParameterError(f"kind must be 'deficiency' or 'rank', got {kind!r}")
+    h = _check_int("h", h, 0)
     try:
         obs = np.asarray(observations if isinstance(observations, np.ndarray) else list(observations))
     except ValueError:  # ragged nesting
@@ -473,7 +513,7 @@ def dmc_to_dict(dmc: Dmc) -> dict:
         "input_labels": [subspace_label(s) for s in dmc.input_index],
         "output_labels": dmc.output_index.labels(),
         "output_dims": [dmc.output_index.dim_of(j) for j in range(len(dmc.output_index))],
-        "transitions": [[float(x) for x in row] for row in dmc.trans],
+        "transitions": [dmc._row(i).tolist() for i in range(dmc.num_inputs)],
     }
 
 
@@ -483,4 +523,4 @@ def dmc_to_csv(dmc: Dmc, fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input"] + dmc.output_index.labels())
     for i, u in enumerate(dmc.input_index):
-        writer.writerow([subspace_label(u)] + [repr(float(x)) for x in dmc.trans[i]])
+        writer.writerow([subspace_label(u)] + [repr(x) for x in dmc._row(i).tolist()])

@@ -177,7 +177,8 @@ def cmd_matrix(args, parser) -> int:
         dmc_to_csv(dmc, buf)
         _emit(buf.getvalue(), args.out)
     if args.audit_row_sums:
-        worst = float(np.max(np.abs(dmc.trans.sum(axis=1) - 1.0)))
+        rows, _cols, vals = dmc.triplets()
+        worst = float(np.max(np.abs(np.bincount(rows, weights=vals, minlength=nx) - 1.0)))
         print(f"row sums: all {nx} rows equal 1.0 (max |sum - 1| = {worst:.3e})", file=sys.stderr)
         if worst > 1e-9:
             print("row-sum audit failed", file=sys.stderr)

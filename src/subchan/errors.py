@@ -58,12 +58,14 @@ class NonConvergenceError(SubchanError, RuntimeError):
         self.solution = solution
 
 
-def _check_int(name: str, value, minimum: int, error=InvalidParameterError) -> int:
+def _check_int(name: str, value, minimum: int, error=InvalidParameterError, *, maximum=None) -> int:
     """value as an int; a non-integer (bool included) raises
-    InvalidParameterError, an integer below minimum raises ``error``."""
-    message = f"{name} must be an integer >= {minimum}, got {value!r}"
+    InvalidParameterError, an integer outside [minimum, maximum] raises
+    ``error`` (no upper bound when maximum is None)."""
+    bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    message = f"{name} must be an integer {bounds}, got {value!r}"
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidParameterError(message)
-    if value < minimum:
+    if value < minimum or (maximum is not None and value > maximum):
         raise error(message)
     return int(value)

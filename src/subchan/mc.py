@@ -101,13 +101,15 @@ def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     input_labels = [subspace_label(u) for u in dmc.input_index]
     output_labels = dmc.output_index.labels()
 
+    values = dmc.values.tolist()
     for i, u in enumerate(dmc.input_index):
         canon, dims = simulate_uses(spec, u, n, _substream(seed, i))
         tally = np.bincount(dmc.output_index.positions(canon, dims), minlength=dmc.num_outputs)
         observed = {int(j): int(tally[j]) for j in np.flatnonzero(tally)}
-        support = set(np.nonzero(dmc.trans[i])[0].tolist())
+        law = dict(zip(dmc.support[i].tolist(), values))
+        support = {j for j, p in law.items() if p > 0}
         for j in sorted(support | set(observed)):
-            p = float(dmc.trans[i, j])
+            p = law.get(j, 0.0)
             cnt = observed.get(j, 0)
             z = _cell_z(cnt, n, p)
             cells.append(

@@ -55,6 +55,13 @@ class TestComponentCapacity:
         assert component_capacity(2, 3, 2, 1) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(1.22239, abs=5e-6)
 
+    @pytest.mark.parametrize(
+        "args", [(2, 4, 2, True), (2, 4, 2, 1.0), (2, 4, 2, 3), (2, 4, 2, -1), (2, 4, 5, 0), (2, 4.0, 2, 1)]
+    )
+    def test_rejects_bad_dimensions(self, args):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            component_capacity(*args)
+
     def test_base_conversion_is_exact_division(self):
         bits = component_capacity(2, 4, 2, 1, log_base=2.0)
         for base in (3.0, 4.0, math.e, 10.0):
@@ -139,6 +146,11 @@ class TestStronglySymmetricCapacity:
     def test_rejects_non_probability_rows(self):
         with pytest.raises(DistributionInvalidError):
             strongly_symmetric_capacity([0.5, 0.4], 2)
+
+    @pytest.mark.parametrize("num_outputs", [2.5, 4.0, True, "4", 1])
+    def test_rejects_bad_num_outputs(self, num_outputs):
+        with pytest.raises(InvalidParameterError, match="num_outputs must be an integer >= 2"):
+            strongly_symmetric_capacity([0.5, 0.5], num_outputs)
 
     @pytest.mark.parametrize("row", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]])
     def test_rejects_nan_rows(self, row):
@@ -233,6 +245,23 @@ class TestBlahutArimoto:
         sol = blahut_arimoto(chan, tol=1e-12)
         assert sol.capacity_estimate == pytest.approx(best, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "T, h, rank_def", [(4, 2, [0.5, 0.3, 0.2]), (5, 3, [0.4, 0.3, 0.2, 0.1])]
+    )
+    def test_converges_where_uniform_is_not_optimal(self, T, h, rank_def):
+        """Duplicating inputs leaves the capacity unchanged but makes the
+        uniform start suboptimal: the duplicated inputs get too much mass,
+        so BA has to iterate to reach the closed form."""
+        spec = _spec(rank_def, T=T, h=h)
+        closed = capacity_closed_form(spec).closed_form
+        dmc = build_dmc(spec)
+        assert blahut_arimoto(dmc, tol=1e-9).iterations == 1
+        trans = np.array(dmc.trans)
+        sol = blahut_arimoto(np.vstack([trans, trans[:3]]), tol=1e-9)
+        assert sol.iterations > 1
+        assert abs(sol.capacity_estimate - closed) <= 1e-6
+        assert sol.input_distribution[:3].sum() < 3 / len(sol.input_distribution)
+
     def test_matches_closed_form_on_subspace_channel(self):
         report = capacity_closed_form(MIXED)
         sol = blahut_arimoto(build_dmc(MIXED), tol=1e-9)
@@ -303,3 +332,46 @@ class TestOracleEquivalenceGrid:
             report = capacity_closed_form(spec)
             sol = blahut_arimoto(build_dmc(spec), tol=1e-9)
             assert abs(sol.capacity_estimate - report.closed_form) <= 1e-6
+
+
+class TestSupportIndexEquivalence:
+    """Mutual information and Blahut-Arimoto read a Dmc from its support
+    index; the same calls on its dense matrix give the same results."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (4, 3)])
+    def test_dmc_and_dense_matrix_agree(self, q, shape):
+        T, h = shape
+        dists = [
+            RankDefDist.point_mass(h, 0).probs,
+            RankDefDist.point_mass(h, h).probs,
+            RankDefDist.uniform(h).probs,
+        ] + [_random_dist(h, seed) for seed in range(5)]
+        rng = np.random.default_rng(q * 100 + T * 10 + h)
+        for dist in dists:
+            dmc = build_dmc(_spec(dist, q=q, T=T, h=h))
+            dense = np.array(dmc.trans)
+            for p in (np.full(dmc.num_inputs, 1 / dmc.num_inputs), rng.dirichlet(np.ones(dmc.num_inputs))):
+                assert abs(mutual_information(dmc, p) - mutual_information(dense, p)) <= 1e-12
+            for tol in (1e-9, 1e-12):
+                sparse_sol, dense_sol = blahut_arimoto(dmc, tol=tol), blahut_arimoto(dense, tol=tol)
+                assert sparse_sol.iterations == dense_sol.iterations
+                assert abs(sparse_sol.capacity_estimate - dense_sol.capacity_estimate) <= 1e-12
+                assert np.max(np.abs(sparse_sol.input_distribution - dense_sol.input_distribution)) <= 1e-12
+
+    def test_dmc_rows_are_checked(self):
+        dmc = build_dmc(MIXED)
+        broken = type(dmc)(
+            dmc.spec, dmc.input_index, dmc.output_index, dmc.support, dmc.values * 0.9, dmc.component_of_output
+        )
+        with pytest.raises(NotRowStochasticError):
+            mutual_information(broken, np.full(7, 1 / 7))
+        with pytest.raises(NotRowStochasticError):
+            blahut_arimoto(broken)
+
+    def test_zero_mass_columns_take_no_part(self):
+        chan = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        sol = blahut_arimoto(chan, tol=1e-12)
+        reduced = blahut_arimoto(chan[:, [0, 2]], tol=1e-12)
+        assert sol.iterations == reduced.iterations
+        assert sol.capacity_estimate == pytest.approx(reduced.capacity_estimate, abs=1e-15)

@@ -2,6 +2,7 @@
 construction, component decomposition, operational simulation, and the
 spec-file / export interfaces."""
 
+import hashlib
 import io
 import json
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import CHI2_CRIT_P001, chi2_statistic, matrices_by_rank
 from subchan import _kernels
+from subchan.capacity import blahut_arimoto, capacity_closed_form, mutual_information
 from subchan.channel import (
     ChannelSpec,
     RankDefDist,
@@ -89,6 +91,26 @@ class TestRankDefDist:
         assert np.allclose(RankDefDist.uniform(2).probs, 1 / 3)
         with pytest.raises(DistributionInvalidError):
             RankDefDist.point_mass(2, 3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RankDefDist.point_mass(2, 1.5),
+            lambda: RankDefDist.point_mass(2.0, 1),
+            lambda: RankDefDist("1", [0.5, 0.5]),
+            lambda: RankDefDist(True, [0.5, 0.5]),
+            lambda: RankDefDist.uniform(1.5),
+        ],
+    )
+    def test_non_integer_h_or_deficiency_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make()
+
+    def test_negative_h_rejected(self):
+        with pytest.raises(DistributionInvalidError):
+            RankDefDist(-1, [])
+        with pytest.raises(DistributionInvalidError):
+            RankDefDist.uniform(-1)
 
 
 class TestChannelSpec:
@@ -179,6 +201,11 @@ class TestConditionalProbGivenRank:
         with pytest.raises(ValueError):
             conditional_prob_given_rank(MIXED, U, V100, 3)
 
+    @pytest.mark.parametrize("rho", [0.5, 1.0, True, "1", -1, 3, 5])
+    def test_deficiency_must_be_an_integer_in_range(self, rho):
+        with pytest.raises(InvalidParameterError, match="rho must be an integer in \\[0, 2\\]"):
+            conditional_prob_given_rank(MIXED, U, U, rho)
+
 
 class TestBuildDmc:
     def test_alphabet_sizes(self):
@@ -238,6 +265,59 @@ class TestBuildDmc:
             first = np.sort(trans[0])
             for row in trans[1:]:
                 assert np.array_equal(np.sort(row), first)
+
+    # sha256 of the dense views' bytes, recorded when build_dmc stored them
+    # as its only representation: the views built from the support index
+    # are bit-identical.
+    @pytest.mark.parametrize(
+        "q, T, h, rank_def, trans_digest, support_digest",
+        [
+            (2, 6, 3, [0.4, 0.3, 0.2, 0.1],
+             "c3d33cf521767cc4ef6bfaa9647dfbcb41c20508f3b4345f407386b982077f73",
+             "1f3ac3875cddb7e40efb74ce9f1267c88138a783d048c4d6ad85a4a81162723e"),
+            (3, 3, 2, [0.6, 0.0, 0.4],
+             "0aeb6f5f263a5d8f1c6f284699b42cdc0de81c3eeeb1256273770af3f28d43df",
+             "b8b2908f9bc16200da3f5c11cf7337167b923c4440253d704b8a6c7a45d284e1"),
+            (4, 3, 2, [0.25, 0.5, 0.25],
+             "11a4cca40dfa4f95d3feb927d7290bc18a3ef8dca7f38012b623c6785fb5cc6b",
+             "10251019e4147c37ee9c3fbf51787d8afef5a2bcbe828e0d065278febf46fab3"),
+        ],
+    )
+    def test_dense_views_match_recorded_digests(self, q, T, h, rank_def, trans_digest, support_digest):
+        dmc = build_dmc(_spec(rank_def, q, T, h))
+        nx, ny = alphabet_sizes(dmc.spec)
+        assert (dmc.num_inputs, dmc.num_outputs) == (nx, ny)
+        assert dmc.trans.shape == (nx, ny) and dmc.trans.dtype == np.float64
+        assert [s.shape for s in dmc.support_by_dim] == [(nx, len(b)) for b in dmc.output_index.blocks]
+        assert hashlib.sha256(dmc.trans.tobytes()).hexdigest() == trans_digest
+        support = hashlib.sha256()
+        for pattern in dmc.support_by_dim:
+            assert pattern.dtype == bool
+            support.update(pattern.tobytes())
+        assert support.hexdigest() == support_digest
+        for array in (dmc.trans, *dmc.support_by_dim, dmc.support, dmc.values):
+            assert not array.flags.writeable
+        assert dmc.trans is dmc.trans
+
+    def test_support_index_layout(self):
+        dmc = build_dmc(MIXED)
+        sizes = [gaussian_coefficient(2, d, 2) for d in range(3)]
+        assert dmc.support.shape == (7, sum(sizes)) and dmc.support.dtype == np.int64
+        expected = [MIXED.rank_def.probs[2 - d] / sizes[d] for d in range(3) for _ in range(sizes[d])]
+        assert dmc.values.tolist() == expected
+        for i, u in enumerate(dmc.input_index):
+            subspaces = [dmc.output_index.subspace_at(j) for j in dmc.support[i]]
+            assert [v.dim for v in subspaces] == [d for d in range(3) for _ in range(sizes[d])]
+            assert all(contains(u, v) for v in subspaces) and len(set(subspaces)) == len(subspaces)
+
+    def test_law_is_used_without_the_dense_views(self):
+        dmc = build_dmc(MIXED)
+        mutual_information(dmc, np.full(7, 1 / 7))
+        blahut_arimoto(dmc)
+        components(dmc)
+        dmc_to_dict(dmc)
+        dmc_to_csv(dmc, io.StringIO())
+        assert "trans" not in vars(dmc) and "support_by_dim" not in vars(dmc)
 
     def test_enumeration_cap(self):
         spec = ChannelSpec(F2, 20, 10, RankDefDist.point_mass(10, 0))
@@ -371,6 +451,26 @@ class TestSimulateUses:
         assert excess(300_000) - excess(100_000) < 1 << 20
 
 
+class TestDmcMemory:
+    def test_build_and_capacity_memory_is_bounded_by_the_support(self):
+        """q2 T7 h3 has 11,811 inputs and 14,606 outputs: a dense float64 law
+        would take 1.4 GB, the support index takes 1.5 MB."""
+        spec = _spec([0.4, 0.3, 0.2, 0.1], q=2, T=7, h=3)
+        limit = 200 << 20
+        tracemalloc.start()
+        try:
+            dmc = build_dmc(spec)
+            assert tracemalloc.get_traced_memory()[1] < limit
+            solution = blahut_arimoto(dmc, tol=1e-9)
+            mi = mutual_information(dmc, np.full(dmc.num_inputs, 1 / dmc.num_inputs))
+            assert tracemalloc.get_traced_memory()[1] < limit
+        finally:
+            tracemalloc.stop()
+        closed = capacity_closed_form(spec).closed_form
+        assert abs(solution.capacity_estimate - closed) <= 1e-6
+        assert abs(mi - closed) <= 1e-9
+
+
 class TestBasisInvariance:
     """Marginalizing over the random basis makes the output law independent
     of which fixed rank-r transfer matrix acted."""
@@ -472,6 +572,13 @@ class TestEstimateRankDefDist:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             estimate_rank_def_dist([0], 2, kind="guess")
+        with pytest.raises(InvalidParameterError, match="kind must be"):
+            estimate_rank_def_dist([0], 2, kind="x")
+
+    @pytest.mark.parametrize("h", [1.5, 2.0, "2", None, True])
+    def test_h_must_be_an_integer(self, h):
+        with pytest.raises(InvalidParameterError, match="h must be an integer"):
+            estimate_rank_def_dist([0, 1], h)
 
     def test_recovers_simulated_distribution(self):
         rng = np.random.default_rng(33)

@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, output formats, schema conformance, and
 byte-identical determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -221,6 +222,26 @@ class TestMatrix:
         code, _, err = _run(capsys, args)
         assert code == 2
         assert "|X|" in err and "|Y|" in err and "cap" in err
+
+    # sha256 of the exports, recorded when they were written from a dense
+    # transition matrix; rows are now built one at a time from the support.
+    @pytest.mark.parametrize(
+        "q, T, h, rank_def, fmt, digest",
+        [
+            (2, 4, 2, "0.5,0.3,0.2", "csv", "c69c22c16a7b3d4be516c432d2627245ca0d35929664d23ddb46aa6971888f15"),
+            (2, 4, 2, "0.5,0.3,0.2", "json", "47fca0e5a2766a21ed3781a7d05ac9ca3891328e8ecf2306a3f537e553f8e8c3"),
+            (3, 3, 2, "0.6,0,0.4", "csv", "cd7799fc16a01feb10041230052aa1f8cda964de22b89a4981a3832ef16e0a96"),
+            (3, 3, 2, "0.6,0,0.4", "json", "dafcd32125b033330de8f3f6c16614f5598c320d3d80df41f3359e02e05398d4"),
+            (4, 3, 2, "0.25,0.5,0.25", "csv", "d151f8aa9b8e19416b22e064746e320e9627ccbfdee8ddfb2fe7c7e28503e549"),
+            (4, 3, 2, "0.25,0.5,0.25", "json", "ab472371c67c3814ce4d9a307ec3fe036e8539a918078d654bc172c0d7c5c4e7"),
+        ],
+    )
+    def test_export_golden_hash(self, capsys, q, T, h, rank_def, fmt, digest):
+        args = ["matrix", "--q", str(q), "--T", str(T), "--h", str(h), "--rank-def", rank_def]
+        code, out, err = _run(capsys, [*args, "--format", fmt, "--audit-row-sums"])
+        assert code == 0
+        assert "rows equal 1.0" in err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "dmc.csv"
