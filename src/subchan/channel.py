@@ -46,7 +46,6 @@ from .grassmann import (
     enumerate_grassmannian,
     gaussian_coefficient,
     resolve_enum_cap,
-    subspace_label,
     subspaces_of_batch,
 )
 from .matrix import Mat
@@ -286,7 +285,7 @@ class OutputAlphabet:
         return int(np.searchsorted(self.offsets, j, side="right") - 1)
 
     def labels(self) -> list[str]:
-        return [subspace_label(s) for s in self]
+        return [label for block in self.blocks for label in block.labels()]
 
 
 def _dense(columns: np.ndarray, width: int, value, dtype) -> np.ndarray:
@@ -510,7 +509,7 @@ def dmc_to_dict(dmc: Dmc) -> dict:
         "T": dmc.spec.T,
         "h": dmc.spec.h,
         "rank_def": [float(p) for p in dmc.spec.rank_def.probs],
-        "input_labels": [subspace_label(s) for s in dmc.input_index],
+        "input_labels": dmc.input_index.labels(),
         "output_labels": dmc.output_index.labels(),
         "output_dims": [dmc.output_index.dim_of(j) for j in range(len(dmc.output_index))],
         "transitions": [dmc._row(i).tolist() for i in range(dmc.num_inputs)],
@@ -522,5 +521,5 @@ def dmc_to_csv(dmc: Dmc, fileobj) -> None:
     strings, rows joined by '|'), then one probability row per input."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input"] + dmc.output_index.labels())
-    for i, u in enumerate(dmc.input_index):
-        writer.writerow([subspace_label(u)] + [repr(x) for x in dmc._row(i).tolist()])
+    for i, label in enumerate(dmc.input_index.labels()):
+        writer.writerow([label] + [repr(x) for x in dmc._row(i).tolist()])

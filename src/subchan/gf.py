@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldMismatchError, NotPrimePowerError
+from .errors import FieldMismatchError, NotPrimePowerError, _check_int
 
 __all__ = ["GF", "FieldElement"]
 
@@ -181,25 +181,29 @@ class GF:
 
     # Scalar operations on raw integer encodings.
 
+    def _el(self, a) -> int:
+        """a as an int; InvalidParameterError unless an integer in [0, q)."""
+        return _check_int("field element", a, 0, maximum=self.q - 1)
+
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        return int(self.add_table[self._el(a), self._el(b)])
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
+        return int(self.add_table[self._el(a), self.neg_table[self._el(b)]])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+        return int(self.mul_table[self._el(a), self._el(b)])
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        return int(self.neg_table[self._el(a)])
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self._el(a) == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
     def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value), self)
+        return FieldElement(value, self)
 
     def elements(self) -> range:
         return range(self.q)
@@ -226,8 +230,7 @@ class FieldElement:
     field: GF
 
     def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"value {self.value} outside [0, {self.field.q})")
+        object.__setattr__(self, "value", self.field._el(self.value))
 
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):

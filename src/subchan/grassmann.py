@@ -4,12 +4,13 @@ A subspace is identified by its unique reduced-row-echelon-form basis matrix,
 so subspace equality is structural equality of the canonical basis and every
 subspace hashes in O(1).  The zero-dimensional space O is the empty basis.
 
-Enumeration order is part of the public contract: pivot column sets are
-visited in lexicographic order, and for each pivot set the free entries are
-filled like an odometer (row-major position list, last position spinning
-fastest).  Alphabet indices derived from this order are therefore stable
-across runs and platforms.  ``GrassmannianIndex.indices`` maps a stack of
-canonical bases to those indices in one call; ``index_of`` is its batch of one.
+Enumeration order is part of the public contract: pivot column sets (one
+Schubert cell each) in lexicographic order, and within a cell the free
+entries counted like an odometer (row-major positions, the last fastest).
+Each cell is filled as one array block; an alphabet is its stacked bases,
+and a ``Subspace`` is built only for an element that is accessed.  Indices
+are stable across runs and platforms; ``GrassmannianIndex.indices`` maps a
+stack of canonical bases to them in one call, ``index_of`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 1_000_000
 _ENUM_CAP_ENV = "SUBCHAN_ENUM_CAP"
-
-_DIGITS = "0123456789abcdef"
-
 
 def resolve_enum_cap(cap: int | None = None) -> int:
     """Effective enumeration cap: explicit arg, else SUBCHAN_ENUM_CAP, else default.
@@ -100,23 +98,16 @@ def count_ordered_bases(h: int, q: int) -> int:
     return out
 
 
-def _rref_basis_pivots(arr: np.ndarray) -> list[int] | None:
-    """Pivot columns if arr is a valid RREF basis (no zero rows), else None."""
-    rows, _cols = arr.shape
-    pivots: list[int] = []
+def _is_rref_basis(arr: np.ndarray) -> bool:
+    """True iff arr is a reduced-row-echelon basis: no zero rows, and each
+    leading entry a 1, right of the one above, alone in its column."""
     last = -1
-    for i in range(rows):
-        nz = np.nonzero(arr[i])[0]
-        if nz.size == 0:
-            return None
-        pcol = int(nz[0])
-        if pcol <= last or arr[i, pcol] != 1:
-            return None
-        if np.count_nonzero(arr[:, pcol]) != 1:
-            return None
-        pivots.append(pcol)
-        last = pcol
-    return pivots
+    for row in arr:
+        nz = np.flatnonzero(row)
+        if nz.size == 0 or nz[0] <= last or row[nz[0]] != 1 or np.count_nonzero(arr[:, nz[0]]) != 1:
+            return False
+        last = nz[0]
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +131,8 @@ class Subspace:
             )
         if self.basis.rows > self.ambient_dim:
             raise DimensionMismatchError("more basis rows than ambient dimension")
-        if _rref_basis_pivots(self.basis.array) is None:
-            raise ValueError("basis is not a reduced-row-echelon basis without zero rows")
+        if not _is_rref_basis(self.basis.array):
+            raise InvalidParameterError("basis is not a reduced-row-echelon basis without zero rows")
         object.__setattr__(self, "_key", (self.field.q, self.ambient_dim, self.basis.array.tobytes()))
 
     @property
@@ -165,12 +156,25 @@ class Subspace:
 def subspace_label(s: Subspace) -> str:
     """Serialize the canonical basis: one q-ary digit string per row, rows
     joined by '|'.  The zero space O serializes to the empty string.  For
-    q > 16 entries are comma-separated decimal values instead of digits."""
-    if s.field.q <= 16:
-        rows = ["".join(_DIGITS[v] for v in row) for row in s.basis.array]
-    else:
-        rows = [",".join(str(int(v)) for v in row) for row in s.basis.array]
-    return "|".join(rows)
+    q > 16 entries are comma-separated decimal values instead of digits.
+    A batch of one of ``GrassmannianIndex.labels``."""
+    return _labels(s.field.q, s.basis.array[None])[0]
+
+
+def _labels(q: int, bases: np.ndarray) -> list[str]:
+    """``subspace_label`` of each basis of a (n, dim, T) stack: each entry is
+    its token, NUL-padded to the widest, and one separator byte (',' between
+    entries for q > 16, '|' between rows); without the NULs, labels abut."""
+    n, dim, ambient_dim = bases.shape
+    tokens = np.array([f"{v:x}" if q <= 16 else str(v) for v in range(q)], dtype=bytes)
+    cells = np.zeros((n, dim, ambient_dim, tokens.itemsize + 1), dtype=np.uint8)
+    cells[..., :-1] = tokens.view(np.uint8).reshape(q, -1)[bases]
+    cells[:, :, :-1, -1] = ord(",") if q > 16 else 0
+    cells[:, :-1, -1:, -1] = ord("|")
+    cells = cells.reshape(n, dim * ambient_dim * cells.shape[-1])
+    text = cells[cells != 0].tobytes().decode()
+    ends = np.count_nonzero(cells, axis=1).cumsum().tolist()
+    return [text[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def span(x: Mat) -> Subspace:
@@ -198,32 +202,31 @@ def contains(u: Subspace, v: Subspace) -> bool:
 class GrassmannianIndex:
     """Deterministic bijection between [0, |P(F_q^T, ell)|) and subspaces.
 
-    Materialized eagerly; refuse construction beyond the enumeration cap.
-    ``bases`` stacks the canonical bases, shape (size, ell, T); ``indices``
-    maps a stack of canonical bases back to their positions.
+    ``bases`` (size, ell, T), read-only, stacks the distinct canonical bases,
+    checked at construction; ``indices`` maps such stacks to positions and
+    ``labels`` serializes them.  Indexing, and so iteration, builds a ``Subspace``.
     """
 
-    def __init__(self, field: GF, ambient_dim: int, dim: int, subspaces: tuple[Subspace, ...]):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.dim = dim
-        self._subspaces = subspaces
-        self.bases = np.array([s.basis.array for s in subspaces], dtype=np.uint8).reshape(
-            len(subspaces), dim, ambient_dim
-        )
-        self._lookup = {s._key[2]: i for i, s in enumerate(subspaces)}
+    def __init__(self, field: GF, ambient_dim: int, dim: int, bases: np.ndarray):
+        self.field, self.ambient_dim, self.dim = field, ambient_dim, dim
+        self.bases = np.ascontiguousarray(bases, dtype=np.uint8)
+        self.bases.setflags(write=False)
+        self._lookup = dict(zip(_keys(self.bases), range(len(self.bases))))
+        canon, ranks = _kernels.rref_batch(self.bases, field.add_table, field.mul_table, field.inv_table, field.neg_table)
+        if len(self._lookup) != len(self.bases) or (ranks != dim).any() or not np.array_equal(canon, self.bases):
+            raise InvalidParameterError(f"bases of P(F_{field.q}^{ambient_dim}, {dim}) are not distinct RREF bases")
 
     def __len__(self) -> int:
-        return len(self._subspaces)
-
-    def __iter__(self):
-        return iter(self._subspaces)
+        return len(self.bases)
 
     def __getitem__(self, i: int) -> Subspace:
-        return self._subspaces[i]
+        return Subspace(self.field, self.ambient_dim, Mat(self.field, self.bases[i]))
 
-    def subspace_at(self, i: int) -> Subspace:
-        return self._subspaces[i]
+    subspace_at = __getitem__
+
+    def labels(self) -> list[str]:
+        """``subspace_label`` of every element, in index order."""
+        return _labels(self.field.q, self.bases)
 
     def _missing(self) -> KeyError:
         return KeyError(f"subspace not in P(F_{self.field.q}^{self.ambient_dim}, {self.dim})")
@@ -234,12 +237,7 @@ class GrassmannianIndex:
         canon = np.ascontiguousarray(canon, dtype=np.uint8)
         if canon.shape[1:] != (self.dim, self.ambient_dim):
             raise self._missing()
-        width = self.dim * self.ambient_dim
-        if width == 0:
-            keys = [b""] * len(canon)
-        else:
-            # Each basis as one bytes object, equal to its ndarray.tobytes().
-            keys = canon.reshape(len(canon), width).view(np.dtype((np.void, width))).ravel().tolist()
+        keys = _keys(canon)
         try:
             return np.fromiter(map(self._lookup.__getitem__, keys), dtype=np.int64, count=len(keys))
         except KeyError:
@@ -257,29 +255,30 @@ class GrassmannianIndex:
         )
 
 
+def _keys(canon: np.ndarray) -> list[bytes]:
+    """Each basis of a contiguous (n, dim, T) uint8 stack as one bytes object,
+    equal to its ndarray.tobytes()."""
+    width = canon.shape[1] * canon.shape[2]
+    if width == 0:  # a zero-width void view would hold no elements
+        return [b""] * len(canon)
+    return canon.reshape(len(canon), width).view(np.dtype((np.void, width))).ravel().tolist()
+
+
 @functools.lru_cache(maxsize=64)
 def _enumerate_cached(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
-    q = field.q
-    subspaces: list[Subspace] = []
+    blocks = [np.zeros((0, dim, ambient_dim), dtype=np.uint8)]
     for pivots in itertools.combinations(range(ambient_dim), dim):
-        pivot_set = frozenset(pivots)
-        free = [
-            (i, c)
-            for i in range(dim)
-            for c in range(pivots[i] + 1, ambient_dim)
-            if c not in pivot_set
-        ]
-        base = np.zeros((dim, ambient_dim), dtype=np.uint8)
-        for i, p in enumerate(pivots):
-            base[i, p] = 1
-        for code in range(q ** len(free)):
-            arr = base.copy()
-            v = code
-            for i, c in reversed(free):
-                arr[i, c] = v % q
-                v //= q
-            subspaces.append(Subspace(field, ambient_dim, Mat(field, arr)))
-    return GrassmannianIndex(field, ambient_dim, dim, tuple(subspaces))
+        free = [(i, c) for i in range(dim) for c in range(pivots[i] + 1, ambient_dim) if c not in pivots]
+        block = np.zeros((field.q ** len(free), dim, ambient_dim), dtype=np.uint8)
+        block[:, np.arange(dim), list(pivots)] = 1
+        # Odometer order: the free entries hold the base-q digits of the
+        # position in the block, the last row-major position fastest.
+        code = np.arange(len(block), dtype=np.int64)
+        for i, c in reversed(free):
+            block[:, i, c] = code % field.q
+            code //= field.q
+        blocks.append(block)
+    return GrassmannianIndex(field, ambient_dim, dim, np.concatenate(blocks))
 
 
 def enumerate_grassmannian(
@@ -297,9 +296,7 @@ def enumerate_grassmannian(
         )
     index = _enumerate_cached(field, ambient_dim, dim)
     if len(index) != count:
-        raise AssertionError(
-            f"enumeration produced {len(index)} subspaces, expected {count}"
-        )
+        raise AssertionError(f"enumeration produced {len(index)} subspaces, expected {count}")
     return index
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .capacity import CapacityReport, capacity_closed_form
 from .channel import ChannelSpec, RankDefDist, build_dmc, estimate_rank_def_dist, simulate_uses
 from .errors import InsufficientDataError, _check_int
-from .grassmann import enumerate_grassmannian, subspace_label
+from .grassmann import enumerate_grassmannian
 
 __all__ = [
     "McCell",
@@ -98,7 +98,7 @@ def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     max_dev = 0.0
     worst_z = 0.0
     off_support = 0
-    input_labels = [subspace_label(u) for u in dmc.input_index]
+    input_labels = dmc.input_index.labels()
     output_labels = dmc.output_index.labels()
 
     values = dmc.values.tolist()

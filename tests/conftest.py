@@ -48,6 +48,35 @@ def brute_force_subspaces(q: int, n: int, ell: int) -> set[frozenset[tuple[int, 
     return found
 
 
+def reference_grassmannian_bases(q: int, ambient_dim: int, dim: int, last_fastest: bool = True) -> np.ndarray:
+    """Canonical bases of P(F_q^ambient_dim, dim) as a (size, dim, T) stack,
+    one element at a time: pivot sets in lexicographic order, and within one
+    the free entries counted like an odometer over the row-major positions,
+    the last position fastest (the first with last_fastest=False)."""
+    out = []
+    for pivots in itertools.combinations(range(ambient_dim), dim):
+        free = [(i, c) for i in range(dim) for c in range(pivots[i] + 1, ambient_dim) if c not in pivots]
+        base = np.zeros((dim, ambient_dim), dtype=np.uint8)
+        for i, p in enumerate(pivots):
+            base[i, p] = 1
+        for code in range(q ** len(free)):
+            arr = base.copy()
+            v = code
+            for i, c in reversed(free) if last_fastest else free:
+                arr[i, c] = v % q
+                v //= q
+            out.append(arr)
+    return np.array(out, dtype=np.uint8).reshape(len(out), dim, ambient_dim)
+
+
+def reference_label(q: int, basis: np.ndarray) -> str:
+    """A subspace label built row by row: q-ary digits for q <= 16, else
+    comma-separated decimals; rows joined by '|'."""
+    if q <= 16:
+        return "|".join("".join("0123456789abcdef"[v] for v in row) for row in basis)
+    return "|".join(",".join(str(int(v)) for v in row) for row in basis)
+
+
 def subspace_vectors(s) -> frozenset[tuple[int, ...]]:
     """All member vectors of a Subspace, by brute-force combination of its
     canonical basis rows."""

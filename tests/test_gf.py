@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from subchan.errors import FieldMismatchError, NotPrimePowerError
+from subchan.errors import FieldMismatchError, InvalidParameterError, NotPrimePowerError
 from subchan.gf import _REDUCTION_POLYS, GF, FieldElement
 
 AXIOM_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -53,6 +53,21 @@ def test_spec_inverse_examples():
     assert GF(5).inv(2) == 3
     assert GF(2).inv(1) == 1
     assert GF(4).inv(2) == 3         # x * (x + 1) = x^2 + x = 1
+
+
+@pytest.mark.parametrize("op, args", [
+    ("add", (-1, 0)), ("add", (0, 3)), ("sub", (-1, 0)), ("sub", (0, 1.0)), ("mul", (2, -1)),
+    ("mul", (1.7, 1)), ("neg", (-1,)), ("neg", (True,)), ("inv", (-1,)), ("inv", (3,)), ("inv", ("1",)),
+])
+def test_scalar_operands_outside_the_field_rejected(op, args):
+    """A negative index would wrap in the table and a float would truncate."""
+    with pytest.raises(InvalidParameterError):
+        getattr(GF(3), op)(*args)
+
+
+def test_scalar_operands_accept_numpy_integers():
+    f = GF(3)
+    assert f.add(np.uint8(2), np.int64(2)) == 1 and f.inv(np.int32(2)) == 2
 
 
 def test_inverse_of_zero_raises():
@@ -162,6 +177,17 @@ class TestFieldElement:
             FieldElement(5, GF(5))
         with pytest.raises(ValueError):
             FieldElement(-1, GF(5))
+
+    @pytest.mark.parametrize("value", [1.5, 1.7, 1.0, True, "1", -1, 3])
+    def test_non_integer_or_out_of_range_values_rejected(self, value):
+        with pytest.raises(InvalidParameterError):
+            FieldElement(value, GF(3))
+        with pytest.raises(InvalidParameterError):
+            GF(3).element(value)
+
+    def test_numpy_integer_value_stored_as_int(self):
+        e = GF(3).element(np.uint8(2))
+        assert type(e.value) is int and (e + e).value == 1
 
     def test_division_by_zero(self):
         f = GF(3)

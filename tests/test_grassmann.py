@@ -1,6 +1,7 @@
 """Subspace canonicalization, Grassmannian enumeration, and counting formulas,
 checked against brute-force enumeration oracles."""
 
+import io
 import itertools
 
 import numpy as np
@@ -11,8 +12,11 @@ from conftest import (
     all_matrices,
     brute_force_subspaces,
     chi2_statistic,
+    reference_grassmannian_bases,
+    reference_label,
     subspace_vectors,
 )
+from subchan.channel import ChannelSpec, RankDefDist, build_dmc, dmc_to_csv, dmc_to_dict
 from subchan.errors import (
     AmbientMismatchError,
     DimensionMismatchError,
@@ -22,7 +26,10 @@ from subchan.errors import (
 )
 from subchan.gf import GF
 from subchan.grassmann import (
+    GrassmannianIndex,
     Subspace,
+    _enumerate_cached,
+    _random_ordered_bases,
     contains,
     count_ordered_bases,
     enumerate_grassmannian,
@@ -197,6 +204,86 @@ class TestEnumerateGrassmannian:
         # counted odometer-style with the last row-major position fastest.
         assert labels == ["100|010", "100|011", "101|010", "101|011", "100|001", "110|001", "010|001"]
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_bases_match_the_one_at_a_time_reference(self, q):
+        f = GF(q)
+        for t in range(6):
+            for ell in range(t + 1):
+                idx = enumerate_grassmannian(f, t, ell)
+                reference = reference_grassmannian_bases(q, t, ell)
+                assert idx.bases.shape == reference.shape and np.array_equal(idx.bases, reference)
+                assert np.array_equal(idx.indices(idx.bases), np.arange(len(idx)))
+                assert not idx.bases.flags.writeable
+
+    @pytest.mark.parametrize("q, t, ell", [(2, 4, 2), (3, 4, 2), (2, 5, 3), (4, 3, 1)])
+    def test_reference_order_tells_a_wrong_digit_order_apart(self, q, t, ell):
+        """The first free position spinning fastest enumerates the same
+        subspaces in another order, which the reference comparison rejects."""
+        idx = enumerate_grassmannian(GF(q), t, ell)
+        wrong = reference_grassmannian_bases(q, t, ell, last_fastest=False)
+        assert sorted(idx.indices(wrong).tolist()) == list(range(len(idx)))
+        assert not np.array_equal(idx.bases, wrong)
+
+    @pytest.mark.parametrize(
+        "mutation", ["duplicate", "entry_above_pivot", "zero_row", "pivot_not_one", "pivots_out_of_order"]
+    )
+    def test_construction_rejects_invalid_bases(self, mutation):
+        bases = enumerate_grassmannian(GF(3), 4, 2).bases.copy()
+        if mutation == "duplicate":
+            bases[5] = bases[4]
+        elif mutation == "entry_above_pivot":
+            bases[0, 0, 1] = 1
+        elif mutation == "zero_row":
+            bases[0, 1] = 0
+        elif mutation == "pivot_not_one":
+            bases[0, 0, 0] = 2
+        else:
+            bases[0] = bases[0, ::-1]
+        with pytest.raises(InvalidParameterError):
+            GrassmannianIndex(GF(3), 4, 2, bases)
+
+    def test_q2_t8_h4_has_every_subspace_once(self):
+        idx = enumerate_grassmannian(F2, 8, 4)
+        words = np.packbits(idx.bases.reshape(len(idx), 32), axis=1).view(np.uint32).ravel()
+        assert len(idx) == 200_787 == len(np.unique(words))
+
+    @pytest.mark.parametrize("q, t", [(2, 5), (3, 4), (4, 4), (5, 3), (16, 3), (32, 3), (256, 2)])
+    def test_labels_match_per_element_labels(self, q, t):
+        for ell in range(t + 1):
+            idx = enumerate_grassmannian(GF(q), t, ell)
+            expected = [reference_label(q, s.basis.array) for s in idx]
+            assert idx.labels() == [subspace_label(s) for s in idx] == expected
+
+    def test_empty_and_zero_dimensional_alphabets(self):
+        assert enumerate_grassmannian(F2, 0, 0).labels() == [""]
+        assert enumerate_grassmannian(GF(32), 3, 0).labels() == [""]
+        empty = enumerate_grassmannian(F2, 2, 3)
+        assert len(empty) == 0 and empty.labels() == [] and list(empty) == []
+
+    def test_elements_are_built_on_access(self):
+        idx = enumerate_grassmannian(GF(3), 4, 2)
+        assert idx[-1] == idx.subspace_at(len(idx) - 1) == list(idx)[-1]
+        assert idx[0] is not idx[0]
+        with pytest.raises(IndexError):
+            idx[len(idx)]
+
+    def test_build_dmc_and_exports_construct_no_subspace(self, monkeypatch):
+        built = []
+        post_init = Subspace.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Subspace, "__post_init__", spy)
+        _enumerate_cached.cache_clear()
+        dmc = build_dmc(ChannelSpec(F2, 5, 2, RankDefDist.uniform(2)))
+        dmc_to_dict(dmc)
+        dmc_to_csv(dmc, io.StringIO())
+        assert dmc.num_inputs == 155 and built == []
+        dmc.input_index[0]
+        assert len(built) == 1
+
     @pytest.mark.parametrize("ambient, dim", [(-1, 0), (3, -1), (3.0, 2), (3, 2.5), (True, 1), (3, "2")])
     def test_non_integer_or_negative_dimensions_rejected(self, ambient, dim):
         with pytest.raises(InvalidParameterError):
@@ -317,10 +404,16 @@ class TestRandomOrderedBasis:
         assert len(bases) == count_ordered_bases(2, 2) == 6
         rng = np.random.default_rng(987)
         draws = 100_000
-        for _ in range(draws):
-            bases[random_ordered_basis(U, rng).array.tobytes()] += 1
+        for arr in _random_ordered_bases(U, draws, rng):
+            bases[arr.tobytes()] += 1
         stat = chi2_statistic(list(bases.values()), [draws / 6] * 6)
         assert stat < CHI2_CRIT_P001[5]
+
+    @pytest.mark.parametrize("u", [U, span(Mat.from_rows(GF(3), [[1, 2, 0, 1], [0, 1, 1, 2]]))])
+    def test_batch_of_one_is_the_batch_draw(self, u):
+        for seed in range(5):
+            one = random_ordered_basis(u, np.random.default_rng(seed))
+            assert np.array_equal(one.array, _random_ordered_bases(u, 1, np.random.default_rng(seed))[0])
 
 
 class TestSubspaceType:
@@ -329,6 +422,14 @@ class TestSubspaceType:
             Subspace(F2, 3, Mat.from_rows(F2, [[0, 1, 0], [1, 0, 0]]))
         with pytest.raises(ValueError):
             Subspace(F2, 3, Mat.from_rows(F2, [[0, 0, 0]]))
+
+    @pytest.mark.parametrize(
+        "rows", [[[0, 1, 0], [1, 0, 0]], [[0, 0, 0]], [[1, 1, 0], [0, 1, 0]], [[2, 0, 0]], [[1, 0, 2], [1, 1, 0]]]
+    )
+    def test_non_rref_basis_raises_a_package_error(self, rows):
+        f = GF(3)
+        with pytest.raises(InvalidParameterError):
+            Subspace(f, len(rows[0]), Mat.from_rows(f, rows))
 
     def test_equality_is_row_space_equality(self):
         a = span(Mat.from_rows(F2, [[0, 1, 0], [1, 0, 0]]))
