@@ -231,13 +231,13 @@ def conditional_prob_given_rank(spec: ChannelSpec, u: Subspace, v: Subspace, rho
     return 1.0 / gaussian_coefficient(spec.h, spec.h - rho, spec.field.q)
 
 
-def alphabet_sizes(spec: ChannelSpec, cap: int | None = None) -> tuple[int, int]:
+def alphabet_sizes(spec: ChannelSpec) -> tuple[int, int]:
     """Exact input/output alphabet sizes; raises EnumerationTooLargeError
     (naming both would-be sizes) when either exceeds the cap."""
     q, T, h = spec.field.q, spec.T, spec.h
     nx = gaussian_coefficient(T, h, q)
     ny = sum(gaussian_coefficient(T, d, q) for d in range(h + 1))
-    cap_val = resolve_enum_cap(cap)
+    cap_val = resolve_enum_cap()
     if nx > cap_val or ny > cap_val:
         raise EnumerationTooLargeError(
             f"alphabet sizes |X| = {nx}, |Y| = {ny} exceed the enumeration cap {cap_val}"
@@ -367,7 +367,7 @@ class Dmc:
         )
 
 
-def build_dmc(spec: ChannelSpec, cap: int | None = None) -> Dmc:
+def build_dmc(spec: ChannelSpec) -> Dmc:
     """Build the channel's transition law.
 
     Output columns are ordered by ascending output dimension (the zero space
@@ -376,15 +376,15 @@ def build_dmc(spec: ChannelSpec, cap: int | None = None) -> Dmc:
     """
     f, T, h = spec.field, spec.T, spec.h
     q = f.q
-    alphabet_sizes(spec, cap=cap)
-    input_index = enumerate_grassmannian(f, T, h, cap=cap)
-    blocks = tuple(enumerate_grassmannian(f, T, d, cap=cap) for d in range(h + 1))
+    alphabet_sizes(spec)
+    input_index = enumerate_grassmannian(f, T, h)
+    blocks = tuple(enumerate_grassmannian(f, T, d) for d in range(h + 1))
     output_index = OutputAlphabet(blocks)
 
     nx = len(input_index)
     support, values = [], []
     for d in range(h + 1):
-        canon = subspaces_of_batch(f, input_index.bases, d, cap=cap)
+        canon = subspaces_of_batch(f, input_index.bases, d)
         support.append(output_index.offsets[d] + blocks[d].indices(canon).reshape(nx, -1))
         value = float(spec.rank_def.probs[h - d]) / gaussian_coefficient(h, d, q)
         values.append(np.full(support[-1].shape[1], value))

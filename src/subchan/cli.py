@@ -29,7 +29,6 @@ import numpy as np
 from .capacity import blahut_arimoto, capacity_closed_form
 from .channel import (
     ChannelSpec,
-    alphabet_sizes,
     build_dmc,
     channel_spec_from_dict,
     dmc_to_csv,
@@ -82,10 +81,8 @@ def _resolve_spec(args, parser: argparse.ArgumentParser) -> ChannelSpec:
     return spec
 
 
-def _resolve_log_base(value: str, spec: ChannelSpec | None) -> float:
+def _resolve_log_base(value: str, spec: ChannelSpec) -> float:
     if value == "q":
-        if spec is None:
-            raise SubchanError("--log-base q requires channel parameters")
         return float(spec.field.q)
     message = f"--log-base must be a finite number > 1 or 'q', got {value!r}"
     try:
@@ -166,8 +163,8 @@ def cmd_capacity(args, parser) -> int:
 
 def cmd_matrix(args, parser) -> int:
     spec = _resolve_spec(args, parser)
-    nx, ny = alphabet_sizes(spec)
     dmc = build_dmc(spec)
+    nx, ny = dmc.num_inputs, dmc.num_outputs
     size_note = f"input alphabet: {nx} subspaces; output alphabet: {ny} subspaces"
     print(size_note, file=sys.stderr)
     if args.format == "json":

@@ -5,7 +5,7 @@ the residue mod p.  For an extension field GF(p^k) the value packs the base-p
 digit vector (c_0, ..., c_{k-1}) of the polynomial c_0 + c_1 x + ... + c_{k-1}
 x^{k-1} as sum_i c_i p^i, with arithmetic reduced modulo a fixed irreducible
 polynomial per field.  The reduction polynomial table is frozen (one canonical
-primitive polynomial per p^k) so element encodings are reproducible across
+irreducible polynomial per p^k) so element encodings are reproducible across
 runs.
 
 All q x q operation tables are precomputed as uint8 numpy arrays; they double
@@ -25,10 +25,10 @@ __all__ = ["GF", "FieldElement"]
 MAX_FIELD_SIZE = 256
 
 # Canonical monic irreducible polynomial per (p, k), coefficients in ascending
-# degree order (constant term first, leading 1 last).  Every entry is
-# primitive: x (encoded as the integer p) generates the multiplicative group,
-# which the log/antilog construction below relies on.  Verified irreducible
-# and primitive by exhaustive factor/order search (see tests/test_gf.py).
+# degree order (constant term first, leading 1 last).  The table construction
+# needs irreducibility only, which tests/test_gf.py checks by exhaustive
+# factor search; the entries stay fixed because they define every element
+# encoding.
 _REDUCTION_POLYS: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),                    # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),                 # x^3 + x + 1
@@ -68,21 +68,6 @@ def _factor_prime_power(q: int, max_size: int | None = MAX_FIELD_SIZE) -> tuple[
     raise NotPrimePowerError(f"{q} is not a prime power")
 
 
-def _primitive_root(p: int) -> int:
-    """Smallest generator of GF(p)*, found by brute-force order check."""
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = set()
-        cur = 1
-        for _ in range(p - 1):
-            cur = cur * g % p
-            seen.add(cur)
-        if len(seen) == p - 1:
-            return g
-    raise AssertionError(f"no primitive root found for prime {p}")
-
-
 class GF:
     """The finite field GF(q) with precomputed operation tables.
 
@@ -99,7 +84,6 @@ class GF:
         add_table, mul_table: (q, q) uint8 operation tables.
         neg_table, inv_table: (q,) uint8 tables; inv_table[0] is 0 and must
             never be consumed (``inv`` guards it).
-        exp_table, log_table: antilog/log for the cyclic group GF(q)*.
     """
 
     _instances: dict[int, "GF"] = {}
@@ -134,35 +118,25 @@ class GF:
         self.add_table = np.ascontiguousarray(add, dtype=np.uint8)
         self.neg_table = np.ascontiguousarray(neg, dtype=np.uint8)
 
-        # Multiplication via log/antilog over the generator g: for prime
-        # fields the smallest primitive root, for extensions the element x
-        # (the table polynomials are primitive).
-        gen = _primitive_root(p) if k == 1 else p
-        exp = np.empty(max(q - 1, 1), dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = self._mul_slow(cur, gen)
-        if q > 2 and len(set(exp.tolist())) != q - 1:
-            raise AssertionError(f"generator {gen} does not span GF({q})*")
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1 if q > 2 else 1, dtype=np.int64)
-
-        mul = np.zeros((q, q), dtype=np.int64)
-        nz = np.arange(1, q, dtype=np.int64)
-        mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[(-log[nz]) % (q - 1)]
+        # a * b = sum_i b_i (a x^i).  powers[i] holds the digits of a x^i for
+        # every a: times x the digits move up one place and x^k is replaced
+        # by minus the lower terms of the monic reduction polynomial.  For
+        # k = 1 this is a * b mod p.  Row 0 of mul has no 1, so argmax puts
+        # the unused inv_table[0] at 0.
+        powers = [digits]
+        for _ in range(1, k):
+            prev = powers[-1]
+            shifted = np.concatenate([np.zeros((q, 1), dtype=np.int64), prev[:, :-1]], axis=1)
+            powers.append((shifted - prev[:, -1:] * np.array(self.reduction_poly[:k])) % p)
+        mul = (np.einsum("iak,bi->abk", np.stack(powers), digits) % p) @ weights
+        inv = np.argmax(mul == 1, axis=1)
         self.mul_table = np.ascontiguousarray(mul, dtype=np.uint8)
         self.inv_table = np.ascontiguousarray(inv, dtype=np.uint8)
-        self.exp_table = np.ascontiguousarray(exp, dtype=np.uint8)
-        self.log_table = np.ascontiguousarray(log, dtype=np.uint8)
-        for arr in (self.add_table, self.mul_table, self.neg_table,
-                    self.inv_table, self.exp_table, self.log_table):
+        for arr in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
             arr.setflags(write=False)
 
     def _mul_slow(self, a: int, b: int) -> int:
-        """Digit-level product mod the reduction polynomial (table build only)."""
+        """Digit-level product mod the reduction polynomial (reference)."""
         p, k = self.p, self.k
         if k == 1:
             return a * b % p
@@ -204,9 +178,6 @@ class GF:
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q

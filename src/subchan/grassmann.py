@@ -51,13 +51,11 @@ __all__ = [
 DEFAULT_ENUM_CAP = 1_000_000
 _ENUM_CAP_ENV = "SUBCHAN_ENUM_CAP"
 
-def resolve_enum_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: explicit arg, else SUBCHAN_ENUM_CAP, else default.
+def resolve_enum_cap() -> int:
+    """Effective enumeration cap: SUBCHAN_ENUM_CAP, else the default.
 
-    Either source must be an integer >= 1 (InvalidParameterError otherwise).
+    The variable must hold an integer >= 1 (InvalidParameterError otherwise).
     """
-    if cap is not None:
-        return _check_int("cap", cap, 1)
     env = os.environ.get(_ENUM_CAP_ENV)
     if not env:
         return DEFAULT_ENUM_CAP
@@ -281,13 +279,11 @@ def _enumerate_cached(field: GF, ambient_dim: int, dim: int) -> GrassmannianInde
     return GrassmannianIndex(field, ambient_dim, dim, np.concatenate(blocks))
 
 
-def enumerate_grassmannian(
-    field: GF, ambient_dim: int, dim: int, cap: int | None = None
-) -> GrassmannianIndex:
+def enumerate_grassmannian(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
     """All dim-dimensional subspaces of F_q^ambient_dim, in canonical order."""
     ambient_dim = _check_int("ambient_dim", ambient_dim, 0)
     dim = _check_int("dim", dim, 0)
-    cap_val = resolve_enum_cap(cap)
+    cap_val = resolve_enum_cap()
     count = gaussian_coefficient(ambient_dim, dim, field.q)
     if count > cap_val:
         raise EnumerationTooLargeError(
@@ -300,29 +296,31 @@ def enumerate_grassmannian(
     return index
 
 
-def subspaces_of_batch(
-    field: GF, bases: np.ndarray, dim: int, cap: int | None = None
-) -> np.ndarray:
+def subspaces_of_batch(field: GF, bases: np.ndarray, dim: int) -> np.ndarray:
     """Canonical bases of all dim-dimensional subspaces of each row space in
-    ``bases`` (a (n, h, T) stack of full-rank bases), as a (n * m, dim, T)
-    stack with m = C(h, dim)_q: input-major, each input's subspaces in the
-    order of the Grassmannian of F_q^h mapped through its basis."""
+    ``bases`` (a (n, h, T) stack of canonical (RREF) bases), as a
+    (n * m, dim, T) stack with m = C(h, dim)_q: input-major, each input's
+    subspaces in the order of the Grassmannian of F_q^h mapped through its
+    basis.
+
+    The products need no elimination: for RREF R and B, column p_j of R B,
+    where p_j is B's row-j pivot, equals column j of R.  So row i of R B is
+    zero before p_{l_i}, where l_i is R's row-i pivot, holds the pivot 1
+    there, and is the only row nonzero in that column: R B is RREF."""
     n, h, ambient_dim = bases.shape
-    inner = enumerate_grassmannian(field, h, dim, cap=cap).bases
+    inner = enumerate_grassmannian(field, h, dim).bases
     m = len(inner)
     left = np.broadcast_to(inner[None], (n, m, dim, h)).reshape(n * m, dim, h)
     right = np.repeat(bases, m, axis=0)
-    f = field
-    product = _kernels.matmul_batch(left, right, f.add_table, f.mul_table)
-    return _kernels.rref_batch(product, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0]
+    return _kernels.matmul_batch(left, right, field.add_table, field.mul_table)
 
 
-def enumerate_subspaces_of(u: Subspace, dim: int, cap: int | None = None) -> list[Subspace]:
+def enumerate_subspaces_of(u: Subspace, dim: int) -> list[Subspace]:
     """All dim-dimensional subspaces of u, via the Grassmannian of F_q^{dim u}
     mapped through u's canonical basis."""
     if not 0 <= dim <= u.dim:
         raise DimensionMismatchError(f"requested dimension {dim} outside [0, {u.dim}]")
-    canon = subspaces_of_batch(u.field, u.basis.array[None], dim, cap=cap)
+    canon = subspaces_of_batch(u.field, u.basis.array[None], dim)
     return [Subspace(u.field, u.ambient_dim, Mat(u.field, c)) for c in canon]
 
 

@@ -65,10 +65,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, field: GF, rows) -> "Mat":
-        arr = np.array(rows)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        return cls(field, arr)
+        return cls(field, np.array(rows))
 
     @classmethod
     def zeros(cls, field: GF, n: int, m: int) -> "Mat":

@@ -13,11 +13,7 @@ then all its basis selectors.  Nothing else is drawn: the transfer for
 deficiency d is the fixed diag(I_{h-d}, 0).
 Identical (spec, draws, seed) therefore reproduce the identical report: all
 randomness is drawn through numpy Generators at the orchestration layer and
-the kernels are exact integer functions.  Before the fixed transfer and the
-chunks, each use also drew a random transfer G = A B, after all selectors,
-so seeded ``run_mc`` reports from that version differ, and so do pipeline
-reports of more than 65,536 draws; the report layout (format_version 1) did
-not change.
+the kernels are exact integer functions.
 """
 
 from __future__ import annotations

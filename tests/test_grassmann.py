@@ -16,6 +16,7 @@ from conftest import (
     reference_label,
     subspace_vectors,
 )
+from subchan import _kernels
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc, dmc_to_csv, dmc_to_dict
 from subchan.errors import (
     AmbientMismatchError,
@@ -38,6 +39,7 @@ from subchan.grassmann import (
     random_ordered_basis,
     span,
     subspace_label,
+    subspaces_of_batch,
 )
 from subchan.matrix import Mat, matmul, rank
 
@@ -289,9 +291,10 @@ class TestEnumerateGrassmannian:
         with pytest.raises(InvalidParameterError):
             enumerate_grassmannian(F2, ambient, dim)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("SUBCHAN_ENUM_CAP", "100")
         with pytest.raises(EnumerationTooLargeError):
-            enumerate_grassmannian(F2, 10, 5, cap=100)
+            enumerate_grassmannian(F2, 10, 5)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("SUBCHAN_ENUM_CAP", "3")
@@ -305,12 +308,6 @@ class TestEnumerateGrassmannian:
         monkeypatch.setenv("SUBCHAN_ENUM_CAP", value)
         with pytest.raises(SubchanError, match="SUBCHAN_ENUM_CAP must be an integer >= 1") as exc_info:
             enumerate_grassmannian(F2, 3, 2)
-        assert isinstance(exc_info.value, ValueError)
-
-    @pytest.mark.parametrize("cap", [0, -5, 2.5, 10.0, True, "10"])
-    def test_bad_explicit_cap_rejected(self, cap):
-        with pytest.raises(SubchanError, match="cap must be an integer >= 1") as exc_info:
-            enumerate_grassmannian(F2, 3, 2, cap=cap)
         assert isinstance(exc_info.value, ValueError)
 
 
@@ -374,6 +371,18 @@ class TestEnumerateSubspacesOf:
     def test_dimension_out_of_range(self):
         with pytest.raises(DimensionMismatchError):
             enumerate_subspaces_of(U, 3)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_batch_products_are_already_canonical(self, q):
+        f = GF(q)
+        for T in range(5):
+            for h in range(T + 1):
+                bases = enumerate_grassmannian(f, T, h).bases
+                for d in range(h + 1):
+                    out = subspaces_of_batch(f, bases, d)
+                    canon, ranks = _kernels.rref_batch(out, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+                    assert np.array_equal(canon, out), (T, h, d)
+                    assert (ranks == d).all(), (T, h, d)
 
 
 class TestRandomOrderedBasis:

@@ -166,6 +166,10 @@ class TestMatValidation:
         with pytest.raises(SubchanError):
             Mat(GF(3), array)
 
+    def test_flat_row_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            Mat.from_rows(F2, [1, 0])
+
     def test_integral_floats_accepted(self):
         assert Mat.from_rows(GF(3), [[2.0, 0.0]]) == Mat.from_rows(GF(3), [[2, 0]])
 

@@ -8,13 +8,18 @@ keeps the false-alarm probability per suite below one percent.
 """
 
 import json
+import math
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+from subchan import mc
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc
 from subchan.errors import InsufficientDataError, SubchanError
 from subchan.gf import GF
+from subchan.grassmann import contains, enumerate_grassmannian
 from subchan.mc import (
     empirical_capacity_pipeline,
     mc_report_to_csv,
@@ -70,6 +75,28 @@ class TestRunMcStructure:
             for (i, j), count in report.empirical.items():
                 assert count > 0
                 assert dmc.trans[i, j] > 0
+
+    def test_off_support_draws_are_counted_and_fail_the_score(self, monkeypatch):
+        """The channel never leaves u, so this path needs a faked draw: draw 0
+        of every input becomes a line outside u."""
+        lines = enumerate_grassmannian(GF(2), 3, 1)
+        simulate_uses = mc.simulate_uses
+
+        def first_draw_outside_u(spec, u, draws, rng):
+            canon, dims = simulate_uses(spec, u, draws, rng)
+            canon[0] = 0
+            canon[0, :1] = next(v for v in lines if not contains(u, v)).basis.array
+            dims[0] = 1
+            return canon, dims
+
+        monkeypatch.setattr(mc, "simulate_uses", first_draw_outside_u)
+        report = run_mc(MIXED, 200, seed=2)
+        assert report.off_support_hits == 7
+        assert report.worst_z_score == math.inf
+        data = mc_report_to_dict(report)
+        assert data["worst_z_score"] is None
+        schema = Path(__file__).resolve().parents[1] / "schemas" / "mc_report.schema.json"
+        jsonschema.validate(data, json.loads(schema.read_text(encoding="utf-8")))
 
     def test_draw_count_validated(self):
         with pytest.raises(InsufficientDataError):
