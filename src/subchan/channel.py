@@ -41,14 +41,13 @@ from .gf import GF
 from .grassmann import (
     GrassmannianIndex,
     Subspace,
-    _random_ordered_bases,
     contains,
     enumerate_grassmannian,
     gaussian_coefficient,
     resolve_enum_cap,
     subspaces_of_batch,
 )
-from .matrix import Mat
+from .matrix import Mat, matmul, sample_full_rank_batch
 
 __all__ = [
     "ChannelSpec",
@@ -65,13 +64,13 @@ __all__ = [
     "dmc_to_csv",
     "dmc_to_dict",
     "estimate_rank_def_dist",
+    "simulate_frame",
     "simulate_one_use",
-    "simulate_uses",
     "transition_prob",
 ]
 
 _SUM_TOLERANCE = 1e-9
-# Draws per chunk of simulate_uses; part of the seeded stream's definition.
+# Draws per chunk of simulate_frame; part of the seeded stream's definition.
 _CHUNK = 65_536
 
 
@@ -399,39 +398,37 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     return Dmc(spec, input_index, output_index, support, values, component)
 
 
-def simulate_uses(
-    spec: ChannelSpec, u: Subspace, draws: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """``draws`` channel uses of input u: returns the (draws, h, T) canonical
-    RREF output bases (zero-padded) and the (draws,) output dimensions.
+def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``draws`` channel uses in the frame of the input's canonical basis B_u:
+    the (draws, h, h) zero-padded RREF bases R and the (draws,) output
+    dimensions; each use outputs the row space of R B_u, whatever u.
 
-    Each use draws a rank deficiency d and a uniform ordered basis X of u
-    (a uniform full-rank h x h selector applied to u's canonical basis), and
-    outputs the row space of diag(I_{h-d}, 0) X: the first h - d rows of X.
+    A use draws a rank deficiency d and a uniform ordered basis X = S B_u of
+    u (S a uniform full-rank h x h selector) and keeps the first h - d rows
+    of X, which span R B_u for R the RREF of the first h - d rows of S.
     Draws run in consecutive chunks of 65,536; each chunk consumes the
     stream in a fixed order, all its deficiencies, then all its selectors.
     """
-    _check_input_subspace(spec, u)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
     cdf = np.cumsum(spec.rank_def.probs)
-    canon = np.empty((draws, h, spec.T), dtype=np.uint8)
+    frame = np.empty((draws, h, h), dtype=np.uint8)
     dims = np.empty(draws, dtype=np.int64)
     for start in range(0, draws, _CHUNK):
         stop = min(start + _CHUNK, draws)
         defs = np.minimum(np.searchsorted(cdf, rng.random(stop - start), side="right"), h)
-        x = _random_ordered_bases(u, stop - start, rng)
-        x[np.arange(h) >= h - defs[:, None]] = 0
-        canon[start:stop], dims[start:stop] = _kernels.rref_batch(
-            x, f.add_table, f.mul_table, f.inv_table, f.neg_table
-        )
-    return canon, dims
+        s = sample_full_rank_batch(f, h, h, stop - start, rng)
+        s[np.arange(h) >= h - defs[:, None]] = 0
+        frame[start:stop], dims[start:stop] = _kernels.rref_batch(s, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+    return frame, dims
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One channel use of input u: a batch of one of ``simulate_uses``."""
-    canon, dims = simulate_uses(spec, u, 1, rng)
-    return Subspace(spec.field, spec.T, Mat(spec.field, canon[0, : dims[0]]))
+    """One channel use of input u: a batch of one of ``simulate_frame``.  The
+    product of RREF bases R B_u is already RREF (see ``subspaces_of_batch``)."""
+    _check_input_subspace(spec, u)
+    frame, dims = simulate_frame(spec, 1, rng)
+    return Subspace(spec.field, spec.T, matmul(Mat(spec.field, frame[0, : dims[0]]), u.basis))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ SUBCHAN_ENUM_CAP environment variable, an integer >= 1 (else exit 2).
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import sys
@@ -94,15 +94,18 @@ def _resolve_log_base(value: str, spec: ChannelSpec) -> float:
     return base
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The text stream a report is written to: stdout, or the file ``out``;
+    an OSError opening or writing the file is a SubchanError (exit 2)."""
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SubchanError(f"cannot write {out}: {exc.strerror or exc}") from None
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise SubchanError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _json_text(obj) -> str:
@@ -136,7 +139,7 @@ def cmd_capacity(args, parser) -> int:
         payload = {"format_version": 1, **report.to_dict()}
         if verification is not None:
             payload["verification"] = verification
-        _emit(_json_text(payload), args.out)
+        text = _json_text(payload)
     else:
         lines = [f"capacity: {report.closed_form:.6f} {report.units_note}"]
         for c in report.per_component:
@@ -149,7 +152,9 @@ def cmd_capacity(args, parser) -> int:
                 f"|difference|={verification['abs_difference']:.3e}  "
                 f"gap_bound={verification['ba_gap_bound']:.3e}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    with _output(args.out) as fh:
+        fh.write(text)
 
     if verification is not None and verification["abs_difference"] > args.tol:
         print(
@@ -167,12 +172,11 @@ def cmd_matrix(args, parser) -> int:
     nx, ny = dmc.num_inputs, dmc.num_outputs
     size_note = f"input alphabet: {nx} subspaces; output alphabet: {ny} subspaces"
     print(size_note, file=sys.stderr)
-    if args.format == "json":
-        _emit(_json_text(dmc_to_dict(dmc)), args.out)
-    else:
-        buf = io.StringIO()
-        dmc_to_csv(dmc, buf)
-        _emit(buf.getvalue(), args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            fh.write(_json_text(dmc_to_dict(dmc)))
+        else:
+            dmc_to_csv(dmc, fh)
     if args.audit_row_sums:
         rows, _cols, vals = dmc.triplets()
         worst = float(np.max(np.abs(np.bincount(rows, weights=vals, minlength=nx) - 1.0)))
@@ -203,15 +207,15 @@ def cmd_simulate(args, parser) -> int:
             "draws": report.draws,
             "seed": report.seed,
         }
-        _emit(_json_text(payload), args.out)
+        with _output(args.out) as fh:
+            fh.write(_json_text(payload))
         return 0
     report = run_mc(spec, args.draws, args.seed)
-    if args.format == "csv":
-        buf = io.StringIO()
-        mc_report_to_csv(report, buf)
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(_json_text(mc_report_to_dict(report)), args.out)
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            mc_report_to_csv(report, fh)
+        else:
+            fh.write(_json_text(mc_report_to_dict(report)))
     return 0
 
 
@@ -220,7 +224,8 @@ def cmd_count(args, parser) -> int:
         value = gaussian_coefficient(args.n, args.l, args.q)
     else:
         value = count_ordered_bases(args.h, args.q)
-    _emit(f"{value}\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(f"{value}\n")
     return 0
 
 

@@ -1,13 +1,15 @@
 """Monte Carlo verification harness for the subspace channel.
 
-Runs batches of channel uses per input subspace through
-``channel.simulate_uses``, tallies each use's output alphabet position, and
-scores the empirical frequencies against the analytical transition law under
-the binomial model.
+Runs batches of channel uses per input subspace u through
+``channel.simulate_frame``, in u's own frame: a use outputs R B_u, and the
+position of R among the subspaces of F_q^h is the use's slot in u's row of
+``Dmc.support``.  The harness tallies slots and scores the empirical
+frequencies against the analytical transition law under the binomial model;
+a draw in a slot of zero mass is an off-support hit.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
-is consumed in the fixed order ``simulate_uses`` documents: draws run in
+is consumed in the fixed order ``simulate_frame`` documents: draws run in
 consecutive chunks of 65,536, and each chunk draws all its rank deficiencies,
 then all its basis selectors.  Nothing else is drawn: the transfer for
 deficiency d is the fixed diag(I_{h-d}, 0).
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityReport, capacity_closed_form
-from .channel import ChannelSpec, RankDefDist, build_dmc, estimate_rank_def_dist, simulate_uses
+from .channel import ChannelSpec, OutputAlphabet, RankDefDist, build_dmc, simulate_frame
 from .errors import InsufficientDataError, _check_int
 from .grassmann import enumerate_grassmannian
 
@@ -97,20 +99,16 @@ def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     input_labels = dmc.input_index.labels()
     output_labels = dmc.output_index.labels()
 
+    frame = OutputAlphabet(tuple(enumerate_grassmannian(spec.field, spec.h, d) for d in range(spec.h + 1)))
     values = dmc.values.tolist()
-    for i, u in enumerate(dmc.input_index):
-        canon, dims = simulate_uses(spec, u, n, _substream(seed, i))
-        tally = np.bincount(dmc.output_index.positions(canon, dims), minlength=dmc.num_outputs)
-        observed = {int(j): int(tally[j]) for j in np.flatnonzero(tally)}
-        law = dict(zip(dmc.support[i].tolist(), values))
-        support = {j for j, p in law.items() if p > 0}
-        for j in sorted(support | set(observed)):
-            p = law.get(j, 0.0)
-            cnt = observed.get(j, 0)
+    for i in range(dmc.num_inputs):
+        bases, dims = simulate_frame(spec, n, _substream(seed, i))
+        tally = np.bincount(frame.positions(bases, dims), minlength=len(values)).tolist()
+        for j, p, cnt in sorted(zip(dmc.support[i].tolist(), values, tally)):
+            if p == 0.0 and cnt == 0:
+                continue
             z = _cell_z(cnt, n, p)
-            cells.append(
-                McCell(i, j, input_labels[i], output_labels[j], cnt, p, z)
-            )
+            cells.append(McCell(i, j, input_labels[i], output_labels[j], cnt, p, z))
             max_dev = max(max_dev, abs(cnt / n - p))
             if p == 0.0:
                 off_support += cnt
@@ -140,17 +138,15 @@ def empirical_capacity_pipeline(
     """Simulate, estimate the rank-deficiency distribution from observed
     output dimensions, and compute capacity from the estimate.
 
-    All draws use the first Grassmannian input subspace: the output-dimension
-    law is the same for every input, so any fixed input estimates the same
-    distribution.
+    The output dimension of a use is h - d whatever the input, so the
+    draws are simulated in the input's own frame (``simulate_frame``) and
+    no input subspace is chosen.
     """
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
-    first = enumerate_grassmannian(spec.field, spec.T, spec.h)[0]
-    _canon, dims = simulate_uses(spec, first, draws, _substream(seed, 0))
-    deficiencies = (spec.h - dims).astype(np.int64)
-    est = estimate_rank_def_dist(deficiencies, spec.h, kind="deficiency")
-    counts = np.bincount(deficiencies, minlength=spec.h + 1)
+    _bases, dims = simulate_frame(spec, draws, _substream(seed, 0))
+    counts = np.bincount(spec.h - dims, minlength=spec.h + 1)
+    est = RankDefDist(spec.h, counts / draws)
     report = PipelineReport(
         estimated_dist=est,
         capacity_estimated=capacity_closed_form(replace(spec, rank_def=est), log_base),

@@ -16,6 +16,7 @@ from subchan import _kernels
 from subchan.capacity import blahut_arimoto, capacity_closed_form, mutual_information
 from subchan.channel import (
     ChannelSpec,
+    OutputAlphabet,
     RankDefDist,
     alphabet_sizes,
     build_dmc,
@@ -26,8 +27,8 @@ from subchan.channel import (
     dmc_to_csv,
     dmc_to_dict,
     estimate_rank_def_dist,
+    simulate_frame,
     simulate_one_use,
-    simulate_uses,
     transition_prob,
 )
 from subchan.errors import (
@@ -41,6 +42,7 @@ from subchan.errors import (
 from subchan.gf import GF
 from subchan.grassmann import (
     Subspace,
+    _random_ordered_bases,
     contains,
     count_ordered_bases,
     enumerate_grassmannian,
@@ -402,6 +404,9 @@ class TestSimulateOneUse:
 
 
 class TestSimulateUses:
+    """Channel-use simulation: ``simulate_frame`` draws uses in the input's
+    own frame, ``simulate_one_use`` maps one through the input's basis."""
+
     SPEC = _spec([0.5, 0.3, 0.2], T=4)
 
     @pytest.mark.parametrize(
@@ -415,7 +420,7 @@ class TestSimulateUses:
     )
     def test_input_subspace_checked(self, u):
         with pytest.raises(DimensionMismatchError):
-            simulate_uses(self.SPEC, u, 5, np.random.default_rng(0))
+            simulate_one_use(self.SPEC, u, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "draws, error",
@@ -427,28 +432,54 @@ class TestSimulateUses:
         ],
     )
     def test_draw_count_checked(self, draws, error):
-        u = span(Mat.from_rows(F2, [[1, 0, 0, 0], [0, 1, 0, 0]]))
         with pytest.raises(error):
-            simulate_uses(self.SPEC, u, draws, np.random.default_rng(0))
+            simulate_frame(self.SPEC, draws, np.random.default_rng(0))
 
     def test_memory_beyond_the_outputs_does_not_grow_with_the_draw_count(self):
         """Peak traced memory of one call, less twice the returned arrays, is
         flat in the draw count: draws are simulated in fixed-size chunks."""
-        f = GF(4)
-        spec = ChannelSpec(f, 5, 3, RankDefDist.uniform(3))
-        u = span(Mat(f, np.eye(3, 5, dtype=np.uint8)))
+        spec = ChannelSpec(GF(4), 5, 3, RankDefDist.uniform(3))
 
         def excess(draws):
             tracemalloc.start()
             try:
-                canon, dims = simulate_uses(spec, u, draws, np.random.default_rng(0))
+                frame, dims = simulate_frame(spec, draws, np.random.default_rng(0))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak - 2 * (canon.nbytes + dims.nbytes)
+            return peak - 2 * (frame.nbytes + dims.nbytes)
 
         excess(10)  # warm the lazily built field and kernel tables
         assert excess(300_000) - excess(100_000) < 1 << 20
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("T, h", [(4, 2), (5, 3)])
+    def test_frame_is_the_papers_mechanism(self, q, T, h):
+        """On one seed, the literal mechanism (a uniform ordered basis of u,
+        rows from h - d on zeroed, then eliminated) outputs R B_u, and the
+        slot of R among the subspaces of F_q^h is the output's slot in u's
+        support row.  A slot mislabelled within a dimension block would pass
+        every z-score of the MC; this pins it."""
+        f, draws = GF(q), 3000
+        spec = ChannelSpec(f, T, h, RankDefDist.uniform(h))
+        dmc = build_dmc(spec)
+        frame_alphabet = OutputAlphabet(tuple(enumerate_grassmannian(f, h, d) for d in range(h + 1)))
+        cdf = np.cumsum(spec.rank_def.probs)
+        for i in np.linspace(0, dmc.num_inputs - 1, 4).astype(int).tolist():
+            u = dmc.input_index[i]
+            rng = np.random.default_rng(100 + i)
+            defs = np.minimum(np.searchsorted(cdf, rng.random(draws), side="right"), h)
+            x = _random_ordered_bases(u, draws, rng)
+            x[np.arange(h) >= h - defs[:, None]] = 0
+            ref, ref_dims = _kernels.rref_batch(x, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+
+            frame, dims = simulate_frame(spec, draws, np.random.default_rng(100 + i))
+            basis = np.broadcast_to(u.basis.array, (draws, h, T))
+            assert np.array_equal(_kernels.matmul_batch(frame, basis, f.add_table, f.mul_table), ref)
+            assert np.array_equal(dims, h - defs)
+            assert np.array_equal(ref_dims, dims)
+            slots = frame_alphabet.positions(frame, dims)
+            assert np.array_equal(dmc.output_index.positions(ref, dims), dmc.support[i][slots])
 
 
 class TestDmcMemory:

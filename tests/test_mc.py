@@ -15,11 +15,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from subchan import mc
+from subchan import grassmann, mc
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc
 from subchan.errors import InsufficientDataError, SubchanError
 from subchan.gf import GF
-from subchan.grassmann import contains, enumerate_grassmannian
+from subchan.grassmann import GrassmannianIndex
 from subchan.mc import (
     empirical_capacity_pipeline,
     mc_report_to_csv,
@@ -77,26 +77,65 @@ class TestRunMcStructure:
                 assert dmc.trans[i, j] > 0
 
     def test_off_support_draws_are_counted_and_fail_the_score(self, monkeypatch):
-        """The channel never leaves u, so this path needs a faked draw: draw 0
-        of every input becomes a line outside u."""
-        lines = enumerate_grassmannian(GF(2), 3, 1)
-        simulate_uses = mc.simulate_uses
+        """The channel never draws a slot of zero mass, so this path needs a
+        faked draw: draw 0 of every input becomes the zero space, which this
+        law never outputs."""
+        simulate_frame = mc.simulate_frame
 
-        def first_draw_outside_u(spec, u, draws, rng):
-            canon, dims = simulate_uses(spec, u, draws, rng)
-            canon[0] = 0
-            canon[0, :1] = next(v for v in lines if not contains(u, v)).basis.array
-            dims[0] = 1
-            return canon, dims
+        def first_draw_zero_space(spec, draws, rng):
+            frame, dims = simulate_frame(spec, draws, rng)
+            frame[0] = 0
+            dims[0] = 0
+            return frame, dims
 
-        monkeypatch.setattr(mc, "simulate_uses", first_draw_outside_u)
-        report = run_mc(MIXED, 200, seed=2)
+        monkeypatch.setattr(mc, "simulate_frame", first_draw_zero_space)
+        report = run_mc(_spec([0.5, 0.5, 0]), 200, seed=2)
         assert report.off_support_hits == 7
         assert report.worst_z_score == math.inf
         data = mc_report_to_dict(report)
         assert data["worst_z_score"] is None
         schema = Path(__file__).resolve().parents[1] / "schemas" / "mc_report.schema.json"
         jsonschema.validate(data, json.loads(schema.read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize("T", [3, 4])
+    def test_tally_makes_no_lookup_in_the_global_alphabet(self, monkeypatch, T):
+        """Only build_dmc looks subspaces of F_q^T up, once per output
+        dimension, however many inputs there are: the tally reads slots in
+        each input's own frame."""
+        calls = []
+        indices = GrassmannianIndex.indices
+        build = mc.build_dmc
+        in_build = []
+
+        def spy_indices(self, canon):
+            calls.append((self.ambient_dim, bool(in_build)))
+            return indices(self, canon)
+
+        def spy_build(spec):
+            in_build.append(True)
+            try:
+                return build(spec)
+            finally:
+                in_build.pop()
+
+        monkeypatch.setattr(GrassmannianIndex, "indices", spy_indices)
+        monkeypatch.setattr(mc, "build_dmc", spy_build)
+        spec = _spec([0.5, 0.3, 0.2], T=T)
+        run_mc(spec, 50, seed=1)
+        global_calls = [inside for ambient, inside in calls if ambient == T]
+        assert global_calls == [True] * (spec.h + 1)
+
+    def test_pipeline_enumerates_no_grassmannian_of_the_packet_space(self, monkeypatch):
+        enumerate_cached = grassmann._enumerate_cached
+        ambients = []
+
+        def spy(field, ambient_dim, dim):
+            ambients.append(ambient_dim)
+            return enumerate_cached(field, ambient_dim, dim)
+
+        monkeypatch.setattr(grassmann, "_enumerate_cached", spy)
+        empirical_capacity_pipeline(_spec([0.5, 0.3, 0.2], T=4), 500, seed=1)
+        assert 4 not in ambients
 
     def test_draw_count_validated(self):
         with pytest.raises(InsufficientDataError):
