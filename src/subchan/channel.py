@@ -63,6 +63,7 @@ __all__ = [
     "conditional_prob_given_rank",
     "dmc_to_csv",
     "dmc_to_dict",
+    "dmc_to_json",
     "estimate_rank_def_dist",
     "simulate_frame",
     "simulate_one_use",
@@ -337,9 +338,16 @@ class Dmc:
         rows = np.repeat(np.arange(self.num_inputs), cols.shape[1])
         return rows, cols.ravel(), np.tile(self.values[keep], self.num_inputs)
 
-    def _row(self, i: int) -> np.ndarray:
-        """Dense row i of the law."""
-        return _dense(self.support[i : i + 1], self.num_outputs, self.values, np.float64)[0]
+    def _rows(self, fmt):
+        """Each dense row of the law, in input order, as the list of
+        ``fmt(entry)`` over its |Y| float entries."""
+        values = [fmt(v) for v in self.values.tolist()]
+        zeros = [fmt(0.0)] * self.num_outputs
+        for cols in self.support.tolist():
+            row = zeros.copy()
+            for j, v in zip(cols, values):
+                row[j] = v
+            yield row
 
     def _block_columns(self, d: int) -> np.ndarray:
         """(|X|, C(h, d)_q) positions, within the dimension-d output block, of
@@ -406,20 +414,28 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> t
     A use draws a rank deficiency d and a uniform ordered basis X = S B_u of
     u (S a uniform full-rank h x h selector) and keeps the first h - d rows
     of X, which span R B_u for R the RREF of the first h - d rows of S.
-    Draws run in consecutive chunks of 65,536; each chunk consumes the
-    stream in a fixed order, all its deficiencies, then all its selectors.
+    Only the uses with 0 < d < h are eliminated, each deficiency as one
+    batch of its h - d kept rows.  Draws run in consecutive chunks of
+    65,536; each chunk consumes the stream in a fixed order, all its
+    deficiencies, then all its selectors.
     """
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
+    tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
     cdf = np.cumsum(spec.rank_def.probs)
-    frame = np.empty((draws, h, h), dtype=np.uint8)
+    frame = np.zeros((draws, h, h), dtype=np.uint8)
     dims = np.empty(draws, dtype=np.int64)
     for start in range(0, draws, _CHUNK):
         stop = min(start + _CHUNK, draws)
         defs = np.minimum(np.searchsorted(cdf, rng.random(stop - start), side="right"), h)
         s = sample_full_rank_batch(f, h, h, stop - start, rng)
-        s[np.arange(h) >= h - defs[:, None]] = 0
-        frame[start:stop], dims[start:stop] = _kernels.rref_batch(s, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+        out = frame[start:stop]
+        # S is invertible: all h rows span F_q^h (RREF I_h), and none the zero space.
+        out[defs == 0] = np.eye(h, dtype=np.uint8)
+        for d in range(1, h):
+            kept = defs == d
+            out[kept, : h - d] = _kernels.rref_batch(s[kept, : h - d], *tables)[0]
+        dims[start:stop] = h - defs
     return frame, dims
 
 
@@ -498,8 +514,8 @@ def estimate_rank_def_dist(observations, h: int, kind: str = "deficiency") -> Ra
     return RankDefDist(h, (counts if kind == "deficiency" else counts[::-1]) / obs.size)
 
 
-def dmc_to_dict(dmc: Dmc) -> dict:
-    """JSON-ready transition matrix with alphabet metadata embedded."""
+def _dmc_metadata(dmc: Dmc) -> dict:
+    """The entries of ``dmc_to_dict`` other than the transitions."""
     return {
         "format_version": 1,
         "q": dmc.spec.field.q,
@@ -508,9 +524,28 @@ def dmc_to_dict(dmc: Dmc) -> dict:
         "rank_def": [float(p) for p in dmc.spec.rank_def.probs],
         "input_labels": dmc.input_index.labels(),
         "output_labels": dmc.output_index.labels(),
-        "output_dims": [dmc.output_index.dim_of(j) for j in range(len(dmc.output_index))],
-        "transitions": [dmc._row(i).tolist() for i in range(dmc.num_inputs)],
+        "output_dims": (dmc.spec.h - dmc.component_of_output).tolist(),
     }
+
+
+def dmc_to_dict(dmc: Dmc) -> dict:
+    """JSON-ready transition matrix with alphabet metadata embedded."""
+    return {**_dmc_metadata(dmc), "transitions": list(dmc._rows(float))}
+
+
+def dmc_to_json(dmc: Dmc, fileobj) -> None:
+    """JSON export of ``dmc_to_dict``: the text of ``json.dumps(indent=2,
+    sort_keys=True)`` and a newline, written one input row at a time.  The
+    law's values are finite, and json writes a finite float as its repr."""
+    import json  # imported on use: `import subchan` loads no json
+
+    head = json.dumps({**_dmc_metadata(dmc), "transitions": []}, indent=2, sort_keys=True)
+    # "transitions" sorts last, so the text ends '"transitions": []\n}'.
+    fileobj.write(head[: -len("]\n}")] + "\n")
+    for i, row in enumerate(dmc._rows(repr)):
+        text = "    [\n      " + ",\n      ".join(row) + "\n    ]"
+        fileobj.write(text if i == 0 else ",\n" + text)
+    fileobj.write("\n  ]\n}\n")
 
 
 def dmc_to_csv(dmc: Dmc, fileobj) -> None:
@@ -518,5 +553,5 @@ def dmc_to_csv(dmc: Dmc, fileobj) -> None:
     strings, rows joined by '|'), then one probability row per input."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input"] + dmc.output_index.labels())
-    for i, label in enumerate(dmc.input_index.labels()):
-        writer.writerow([label] + [repr(x) for x in dmc._row(i).tolist()])
+    for label, row in zip(dmc.input_index.labels(), dmc._rows(repr)):
+        writer.writerow([label] + row)

@@ -32,7 +32,7 @@ from .channel import (
     build_dmc,
     channel_spec_from_dict,
     dmc_to_csv,
-    dmc_to_dict,
+    dmc_to_json,
 )
 from .errors import NonConvergenceError, SubchanError
 from .grassmann import count_ordered_bases, gaussian_coefficient
@@ -174,7 +174,7 @@ def cmd_matrix(args, parser) -> int:
     print(size_note, file=sys.stderr)
     with _output(args.out) as fh:
         if args.format == "json":
-            fh.write(_json_text(dmc_to_dict(dmc)))
+            dmc_to_json(dmc, fh)
         else:
             dmc_to_csv(dmc, fh)
     if args.audit_row_sums:

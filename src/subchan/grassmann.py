@@ -201,17 +201,21 @@ class GrassmannianIndex:
     """Deterministic bijection between [0, |P(F_q^T, ell)|) and subspaces.
 
     ``bases`` (size, ell, T), read-only, stacks the distinct canonical bases,
-    checked at construction; ``indices`` maps such stacks to positions and
-    ``labels`` serializes them.  Indexing, and so iteration, builds a ``Subspace``.
+    checked at construction; ``indices`` maps such stacks to positions by a
+    binary search over the sorted bytes of the bases, and ``labels``
+    serializes them.  Indexing, and so iteration, builds a ``Subspace``.
     """
 
     def __init__(self, field: GF, ambient_dim: int, dim: int, bases: np.ndarray):
         self.field, self.ambient_dim, self.dim = field, ambient_dim, dim
         self.bases = np.ascontiguousarray(bases, dtype=np.uint8)
         self.bases.setflags(write=False)
-        self._lookup = dict(zip(_keys(self.bases), range(len(self.bases))))
+        keys = _keys(self.bases)
+        self._order = np.argsort(keys)
+        self._sorted = keys[self._order]
         canon, ranks = _kernels.rref_batch(self.bases, field.add_table, field.mul_table, field.inv_table, field.neg_table)
-        if len(self._lookup) != len(self.bases) or (ranks != dim).any() or not np.array_equal(canon, self.bases):
+        repeated = (self._sorted[1:] == self._sorted[:-1]).any()
+        if repeated or (ranks != dim).any() or not np.array_equal(canon, self.bases):
             raise InvalidParameterError(f"bases of P(F_{field.q}^{ambient_dim}, {dim}) are not distinct RREF bases")
 
     def __len__(self) -> int:
@@ -236,10 +240,11 @@ class GrassmannianIndex:
         if canon.shape[1:] != (self.dim, self.ambient_dim):
             raise self._missing()
         keys = _keys(canon)
-        try:
-            return np.fromiter(map(self._lookup.__getitem__, keys), dtype=np.int64, count=len(keys))
-        except KeyError:
-            raise self._missing() from None
+        at = np.searchsorted(self._sorted, keys)
+        # A key above the last sorted one is clipped onto it and so compares unequal.
+        if len(keys) and not (len(self) and np.array_equal(self._sorted.take(at, mode="clip"), keys)):
+            raise self._missing()
+        return self._order[at]
 
     def index_of(self, s: Subspace) -> int:
         if s.field != self.field:
@@ -253,13 +258,13 @@ class GrassmannianIndex:
         )
 
 
-def _keys(canon: np.ndarray) -> list[bytes]:
-    """Each basis of a contiguous (n, dim, T) uint8 stack as one bytes object,
-    equal to its ndarray.tobytes()."""
+def _keys(canon: np.ndarray) -> np.ndarray:
+    """Each basis of a contiguous (n, dim, T) uint8 stack as one void scalar of
+    its bytes, a view; void keys compare and sort as unsigned byte strings."""
     width = canon.shape[1] * canon.shape[2]
     if width == 0:  # a zero-width void view would hold no elements
-        return [b""] * len(canon)
-    return canon.reshape(len(canon), width).view(np.dtype((np.void, width))).ravel().tolist()
+        return np.zeros(len(canon), dtype="V1")
+    return canon.reshape(len(canon), width).view(np.dtype((np.void, width))).ravel()
 
 
 @functools.lru_cache(maxsize=64)

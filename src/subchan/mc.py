@@ -3,9 +3,12 @@
 Runs batches of channel uses per input subspace u through
 ``channel.simulate_frame``, in u's own frame: a use outputs R B_u, and the
 position of R among the subspaces of F_q^h is the use's slot in u's row of
-``Dmc.support``.  The harness tallies slots and scores the empirical
-frequencies against the analytical transition law under the binomial model;
-a draw in a slot of zero mass is an off-support hit.
+``Dmc.support``.  Only the uses with rank deficiency 0 < d < h are
+eliminated: the kept rows of an invertible selector are independent, so
+d = 0 gives R = I_h and d = h the zero space.  The harness tallies slots
+and scores the empirical frequencies against the analytical transition law
+under the binomial model; a draw in a slot of zero mass is an off-support
+hit.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream

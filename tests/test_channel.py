@@ -26,6 +26,7 @@ from subchan.channel import (
     conditional_prob_given_rank,
     dmc_to_csv,
     dmc_to_dict,
+    dmc_to_json,
     estimate_rank_def_dist,
     simulate_frame,
     simulate_one_use,
@@ -51,7 +52,7 @@ from subchan.grassmann import (
     span,
     subspace_label,
 )
-from subchan.matrix import Mat, matmul, rank
+from subchan.matrix import Mat, matmul, rank, sample_full_rank_batch
 
 F2 = GF(2)
 U = span(Mat.from_rows(F2, [[0, 1, 0], [1, 0, 0]]))
@@ -318,6 +319,7 @@ class TestBuildDmc:
         blahut_arimoto(dmc)
         components(dmc)
         dmc_to_dict(dmc)
+        dmc_to_json(dmc, io.StringIO())
         dmc_to_csv(dmc, io.StringIO())
         assert "trans" not in vars(dmc) and "support_by_dim" not in vars(dmc)
 
@@ -451,6 +453,21 @@ class TestSimulateUses:
 
         excess(10)  # warm the lazily built field and kernel tables
         assert excess(300_000) - excess(100_000) < 1 << 20
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_kept_selector_rows_are_independent(self, q, h):
+        """``simulate_frame`` eliminates only for 0 < d < h: it writes I_h for
+        d = 0 and the zero space for d = h.  That holds because a selector is
+        invertible, so its first h - d rows have rank h - d, and all h rows
+        reduce to I_h; checked here on one seeded chunk of the sampler."""
+        f = GF(q)
+        tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
+        s = sample_full_rank_batch(f, h, h, 4096, np.random.default_rng(7))
+        for d in range(h + 1):
+            assert np.all(_kernels.rank_batch(s[:, : h - d], *tables) == h - d)
+        canon, ranks = _kernels.rref_batch(s, *tables)
+        assert np.all(ranks == h) and np.array_equal(canon, np.broadcast_to(np.eye(h, dtype=np.uint8), s.shape))
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("T, h", [(4, 2), (5, 3)])
@@ -634,6 +651,13 @@ class TestExports:
         assert len(data["transitions"]) == 7
         assert all(len(row) == 15 for row in data["transitions"])
         json.dumps(data)
+
+    @pytest.mark.parametrize("q, T, h", [(2, 3, 2), (3, 3, 1), (4, 3, 2), (32, 2, 1)])
+    def test_json_export_is_the_dict_dumped(self, q, T, h):
+        dmc = build_dmc(ChannelSpec(GF(q), T, h, RankDefDist.uniform(h)))
+        buf = io.StringIO()
+        dmc_to_json(dmc, buf)
+        assert buf.getvalue() == json.dumps(dmc_to_dict(dmc), indent=2, sort_keys=True) + "\n"
 
     def test_csv_export_parses_back(self):
         dmc = build_dmc(MIXED)

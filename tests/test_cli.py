@@ -270,6 +270,25 @@ class TestMatrix:
         assert code == 0
         assert target.read_bytes() == out.encode()
 
+    def test_json_export_streams_to_the_file(self, capsys, tmp_path):
+        """q2 T6 h3 is 32.9 MB of JSON: rows are written straight to the
+        output, so the traced peak stays far below the text, and the file
+        holds the bytes stdout gets."""
+        args = ["matrix", "--q", "2", "--T", "6", "--h", "3", "--rank-def", "0.4,0.3,0.2,0.1", "--format", "json"]
+        target = tmp_path / "dmc.json"
+        tracemalloc.start()
+        try:
+            code = main([*args, "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert target.stat().st_size > 30 << 20
+        assert peak < 5 << 20
+        code, out, _ = _run(capsys, args)
+        assert code == 0
+        assert target.read_bytes() == out.encode()
+
 
 class TestSimulate:
     def test_deterministic_channel_report(self, capsys):

@@ -3,6 +3,7 @@ checked against brute-force enumeration oracles."""
 
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from conftest import (
     subspace_vectors,
 )
 from subchan import _kernels
-from subchan.channel import ChannelSpec, RankDefDist, build_dmc, dmc_to_csv, dmc_to_dict
+from subchan.channel import ChannelSpec, RankDefDist, build_dmc, dmc_to_csv, dmc_to_dict, dmc_to_json
 from subchan.errors import (
     AmbientMismatchError,
     DimensionMismatchError,
@@ -200,6 +201,52 @@ class TestEnumerateGrassmannian:
         with pytest.raises(KeyError):
             idx.indices(np.zeros((1, 2, 3), dtype=np.uint8))
 
+    def test_every_non_member_raises_below_above_and_between_the_sorted_keys(self):
+        """Every 2 x 3 matrix over GF(2) that is not a basis of the index
+        raises the one KeyError, wherever its bytes fall among the sorted
+        bytes of the bases: below the first, above the last, or between two."""
+        idx = enumerate_grassmannian(F2, 3, 2)
+        members = sorted(b.tobytes() for b in idx.bases)
+        places = set()
+        for m in all_matrices(2, 2, 3):
+            if m.tobytes() in members:
+                continue
+            places.add(
+                "below" if m.tobytes() < members[0] else "above" if m.tobytes() > members[-1] else "between"
+            )
+            with pytest.raises(KeyError, match=r"^'subspace not in P\(F_2\^3, 2\)'$"):
+                idx.indices(np.stack([idx.bases[0], m]))
+        assert places == {"below", "above", "between"}
+
+    def test_wrong_shapes_raise_and_empty_or_zero_dimensional_stacks_work(self):
+        idx = enumerate_grassmannian(F2, 3, 2)
+        for shape in [(1, 3, 3), (1, 2, 4), (1, 1, 3), (2, 3)]:
+            with pytest.raises(KeyError, match="not in P"):
+                idx.indices(np.zeros(shape, dtype=np.uint8))
+        empty = idx.indices(np.zeros((0, 2, 3), dtype=np.uint8))
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        zero = enumerate_grassmannian(F2, 3, 0)
+        assert zero.indices(np.zeros((4, 0, 3), dtype=np.uint8)).tolist() == [0] * 4
+        nothing = enumerate_grassmannian(F2, 2, 3)
+        assert nothing.indices(np.zeros((0, 3, 2), dtype=np.uint8)).tolist() == []
+        with pytest.raises(KeyError):
+            nothing.indices(np.zeros((1, 3, 2), dtype=np.uint8))
+
+    def test_lookup_memory_is_bounded_by_the_stack(self):
+        """q2 T8 h3: the 680,085 two-dimensional subspaces of the inputs are a
+        10.4 MB stack; looking them up allocates less than twice that."""
+        canon = subspaces_of_batch(F2, enumerate_grassmannian(F2, 8, 3).bases, 2)
+        idx = enumerate_grassmannian(F2, 8, 2)
+        assert canon.shape == (680_085, 2, 8)
+        tracemalloc.start()
+        try:
+            positions = idx.indices(canon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * canon.nbytes
+        assert np.array_equal(idx.bases[positions], canon)
+
     def test_enumeration_order_is_stable(self):
         labels = [subspace_label(s) for s in enumerate_grassmannian(F2, 3, 2)]
         # Pivot sets in lexicographic order: (0,1), (0,2), (1,2); free entries
@@ -227,12 +274,15 @@ class TestEnumerateGrassmannian:
         assert not np.array_equal(idx.bases, wrong)
 
     @pytest.mark.parametrize(
-        "mutation", ["duplicate", "entry_above_pivot", "zero_row", "pivot_not_one", "pivots_out_of_order"]
+        "mutation",
+        ["duplicate", "distant_duplicate", "entry_above_pivot", "zero_row", "pivot_not_one", "pivots_out_of_order"],
     )
     def test_construction_rejects_invalid_bases(self, mutation):
         bases = enumerate_grassmannian(GF(3), 4, 2).bases.copy()
         if mutation == "duplicate":
             bases[5] = bases[4]
+        elif mutation == "distant_duplicate":
+            bases[-1] = bases[0]
         elif mutation == "entry_above_pivot":
             bases[0, 0, 1] = 1
         elif mutation == "zero_row":
@@ -281,6 +331,7 @@ class TestEnumerateGrassmannian:
         _enumerate_cached.cache_clear()
         dmc = build_dmc(ChannelSpec(F2, 5, 2, RankDefDist.uniform(2)))
         dmc_to_dict(dmc)
+        dmc_to_json(dmc, io.StringIO())
         dmc_to_csv(dmc, io.StringIO())
         assert dmc.num_inputs == 155 and built == []
         dmc.input_index[0]
