@@ -152,10 +152,12 @@ def symmetric_capacity_from_components(comps) -> float:
     pairs = []
     for item in comps:
         if isinstance(item, ComponentCapacity):
-            pairs.append((item.selection_prob, item.capacity))
-        else:
-            _rho, sel, cap = item
-            pairs.append((float(sel), float(cap)))
+            item = (item.rho, item.selection_prob, item.capacity)
+        _rho, sel, cap = item
+        sel, cap = float(sel), float(cap)
+        if not (math.isfinite(sel) and sel >= 0 and math.isfinite(cap)):
+            raise DistributionInvalidError(f"component {item!r} needs a finite capacity and selection probability >= 0")
+        pairs.append((sel, cap))
     total = math.fsum(sel for sel, _ in pairs)
     if not abs(total - 1.0) <= _ROW_SUM_TOL:
         raise DistributionInvalidError(f"selection probabilities sum to {total!r}, expected 1")
@@ -163,9 +165,13 @@ def symmetric_capacity_from_components(comps) -> float:
 
 
 def _as_transition_matrix(channel) -> np.ndarray:
-    trans = np.asarray(getattr(channel, "trans", channel), dtype=np.float64)
-    if trans.ndim != 2 or trans.shape[0] < 1:
-        raise NotRowStochasticError(f"expected a 2-D transition matrix, got shape {trans.shape}")
+    try:
+        raw = np.asarray(getattr(channel, "trans", channel))
+    except ValueError:  # ragged nesting
+        raw = np.array(None)
+    if raw.dtype.kind not in "biuf" or raw.ndim != 2 or raw.shape[0] < 1:
+        raise NotRowStochasticError(f"expected a 2-D real transition matrix, got shape {raw.shape} of {raw.dtype}")
+    trans = raw.astype(np.float64)
     if not np.all(trans >= 0):
         raise NotRowStochasticError("transition matrix has negative or NaN entries")
     return trans

@@ -45,6 +45,7 @@ from .grassmann import (
     enumerate_grassmannian,
     gaussian_coefficient,
     resolve_enum_cap,
+    span,
     subspaces_of_batch,
 )
 from .matrix import Mat, matmul, sample_full_rank_batch
@@ -71,7 +72,7 @@ __all__ = [
 ]
 
 _SUM_TOLERANCE = 1e-9
-# Draws per chunk of simulate_frame; part of the seeded stream's definition.
+# Uses per chunk of _draw_uses; part of the seeded stream's definition.
 _CHUNK = 65_536
 
 
@@ -266,15 +267,6 @@ class OutputAlphabet:
             raise KeyError(f"subspace of dimension {v.dim} not in the output alphabet")
         return self.offsets[v.dim] + self.blocks[v.dim].index_of(v)
 
-    def positions(self, canon: np.ndarray, dims: np.ndarray) -> np.ndarray:
-        """Positions of a (n, h, T) stack of zero-padded canonical bases whose
-        row spaces have the (n,) dimensions ``dims``."""
-        out = np.empty(len(dims), dtype=np.int64)
-        for d, block in enumerate(self.blocks):
-            sel = dims == d
-            out[sel] = self.offsets[d] + block.indices(canon[sel, :d])
-        return out
-
     def subspace_at(self, j: int) -> Subspace:
         d = self.dim_of(j)
         return self.blocks[d][j - self.offsets[d]]
@@ -406,45 +398,51 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     return Dmc(spec, input_index, output_index, support, values, component)
 
 
-def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``draws`` channel uses in the frame of the input's canonical basis B_u:
-    the (draws, h, h) zero-padded RREF bases R and the (draws,) output
-    dimensions; each use outputs the row space of R B_u, whatever u.
+def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
+    """The seeded stream of ``draws`` channel uses: per chunk of at most
+    65,536 uses, all their rank deficiencies d, then all their uniform
+    full-rank h x h selectors S, yielded as ``(defs, selectors)``.  A use
+    keeps the first h - d rows of S B_u, a uniform ordered basis of u."""
+    f, h = spec.field, spec.h
+    cdf = np.cumsum(spec.rank_def.probs)
+    for start in range(0, draws, _CHUNK):
+        n = min(_CHUNK, draws - start)
+        defs = np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), h)
+        yield defs, sample_full_rank_batch(f, h, h, n, rng)
 
-    A use draws a rank deficiency d and a uniform ordered basis X = S B_u of
-    u (S a uniform full-rank h x h selector) and keeps the first h - d rows
-    of X, which span R B_u for R the RREF of the first h - d rows of S.
-    Only the uses with 0 < d < h are eliminated, each deficiency as one
-    batch of its h - d kept rows.  Draws run in consecutive chunks of
-    65,536; each chunk consumes the stream in a fixed order, all its
-    deficiencies, then all its selectors.
+
+def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Tally of ``draws`` uses of any input u, in the frame of its canonical
+    basis B_u: the int64 count of each slot of a ``Dmc.support`` row.
+
+    A use outputs R B_u, R the RREF of the h - d kept selector rows, and its
+    slot is R's position among the subspaces of F_q^h (``subspaces_of_batch``
+    order).  Those rows are independent, so d = 0 is F_q^h (the last slot)
+    and d = h the zero space (slot 0); only 0 < d < h is eliminated, one
+    batch per deficiency.  Memory is bounded by a chunk of ``_draw_uses``.
     """
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
     tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
-    cdf = np.cumsum(spec.rank_def.probs)
-    frame = np.zeros((draws, h, h), dtype=np.uint8)
-    dims = np.empty(draws, dtype=np.int64)
-    for start in range(0, draws, _CHUNK):
-        stop = min(start + _CHUNK, draws)
-        defs = np.minimum(np.searchsorted(cdf, rng.random(stop - start), side="right"), h)
-        s = sample_full_rank_batch(f, h, h, stop - start, rng)
-        out = frame[start:stop]
-        # S is invertible: all h rows span F_q^h (RREF I_h), and none the zero space.
-        out[defs == 0] = np.eye(h, dtype=np.uint8)
+    frame = OutputAlphabet(tuple(enumerate_grassmannian(f, h, d) for d in range(h + 1)))
+    tally = np.zeros(len(frame), dtype=np.int64)
+    for defs, s in _draw_uses(spec, draws, rng):
+        counts = np.bincount(defs, minlength=h + 1)
+        tally[0] += counts[h]
+        tally[-1] += counts[0]
         for d in range(1, h):
-            kept = defs == d
-            out[kept, : h - d] = _kernels.rref_batch(s[kept, : h - d], *tables)[0]
-        dims[start:stop] = h - defs
-    return frame, dims
+            canon = _kernels.rref_batch(s[defs == d, : h - d], *tables)[0]
+            lo, hi = frame.offsets[h - d : h - d + 2]
+            tally[lo:hi] += np.bincount(frame.blocks[h - d].indices(canon), minlength=hi - lo)
+    return tally
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One channel use of input u: a batch of one of ``simulate_frame``.  The
-    product of RREF bases R B_u is already RREF (see ``subspaces_of_batch``)."""
+    """One channel use of input u, from one draw of ``_draw_uses``: the span
+    of the first h - d rows of the ordered basis S B_u."""
     _check_input_subspace(spec, u)
-    frame, dims = simulate_frame(spec, 1, rng)
-    return Subspace(spec.field, spec.T, matmul(Mat(spec.field, frame[0, : dims[0]]), u.basis))
+    ((defs, s),) = _draw_uses(spec, 1, rng)
+    return span(matmul(Mat(spec.field, s[0, : spec.h - defs[0]]), u.basis))
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,19 +89,16 @@ class GF:
     _instances: dict[int, "GF"] = {}
 
     def __new__(cls, q: int):
-        key = int(q) if isinstance(q, (int, np.integer)) else q
-        inst = cls._instances.get(key)
+        p, k = _factor_prime_power(q)  # before the lookup, where 4.0 == 4 finds GF(4)
+        inst = cls._instances.get(int(q))
         if inst is None:
             inst = super().__new__(cls)
-            inst._build(key)
-            cls._instances[key] = inst
+            inst._build(int(q), p, k)
+            cls._instances[inst.q] = inst
         return inst
 
-    def _build(self, q: int) -> None:
-        p, k = _factor_prime_power(q)
-        self.q = int(q)
-        self.p = p
-        self.k = k
+    def _build(self, q: int, p: int, k: int) -> None:
+        self.q, self.p, self.k = q, p, k
         self.reduction_poly = _REDUCTION_POLYS[(p, k)] if k > 1 else ()
 
         # Base-p digit matrix: digits[v, i] = i-th digit of v.

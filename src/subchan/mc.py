@@ -1,18 +1,17 @@
 """Monte Carlo verification harness for the subspace channel.
 
 Runs batches of channel uses per input subspace u through
-``channel.simulate_frame``, in u's own frame: a use outputs R B_u, and the
-position of R among the subspaces of F_q^h is the use's slot in u's row of
-``Dmc.support``.  Only the uses with rank deficiency 0 < d < h are
-eliminated: the kept rows of an invertible selector are independent, so
-d = 0 gives R = I_h and d = h the zero space.  The harness tallies slots
-and scores the empirical frequencies against the analytical transition law
-under the binomial model; a draw in a slot of zero mass is an off-support
-hit.
+``channel.simulate_frame``, in u's own frame: a use outputs R B_u, and
+``simulate_frame`` returns the count of each slot of u's row of
+``Dmc.support``, so the harness holds one tally per input and nothing per
+draw.  It scores the empirical frequencies against the analytical transition
+law under the binomial model; a draw in a slot of zero mass is an
+off-support hit.  The pipeline reads only each use's rank deficiency, so it
+eliminates nothing.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
-is consumed in the fixed order ``simulate_frame`` documents: draws run in
+is consumed in the fixed order ``channel._draw_uses`` defines: draws run in
 consecutive chunks of 65,536, and each chunk draws all its rank deficiencies,
 then all its basis selectors.  Nothing else is drawn: the transfer for
 deficiency d is the fixed diag(I_{h-d}, 0).
@@ -29,9 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityReport, capacity_closed_form
-from .channel import ChannelSpec, OutputAlphabet, RankDefDist, build_dmc, simulate_frame
+from .channel import ChannelSpec, RankDefDist, _draw_uses, build_dmc, simulate_frame
 from .errors import InsufficientDataError, _check_int
-from .grassmann import enumerate_grassmannian
 
 __all__ = [
     "McCell",
@@ -102,11 +100,9 @@ def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     input_labels = dmc.input_index.labels()
     output_labels = dmc.output_index.labels()
 
-    frame = OutputAlphabet(tuple(enumerate_grassmannian(spec.field, spec.h, d) for d in range(spec.h + 1)))
     values = dmc.values.tolist()
     for i in range(dmc.num_inputs):
-        bases, dims = simulate_frame(spec, n, _substream(seed, i))
-        tally = np.bincount(frame.positions(bases, dims), minlength=len(values)).tolist()
+        tally = simulate_frame(spec, n, _substream(seed, i)).tolist()
         for j, p, cnt in sorted(zip(dmc.support[i].tolist(), values, tally)):
             if p == 0.0 and cnt == 0:
                 continue
@@ -141,14 +137,15 @@ def empirical_capacity_pipeline(
     """Simulate, estimate the rank-deficiency distribution from observed
     output dimensions, and compute capacity from the estimate.
 
-    The output dimension of a use is h - d whatever the input, so the
-    draws are simulated in the input's own frame (``simulate_frame``) and
-    no input subspace is chosen.
+    The output dimension of a use is h - d whatever the input, so no input
+    subspace is chosen and nothing is eliminated: the pipeline counts the
+    deficiencies of the seeded stream.  Each chunk's selectors are still
+    drawn, which keeps the next chunk's deficiencies those of that stream.
     """
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
-    _bases, dims = simulate_frame(spec, draws, _substream(seed, 0))
-    counts = np.bincount(spec.h - dims, minlength=spec.h + 1)
+    uses = _draw_uses(spec, draws, _substream(seed, 0))
+    counts = sum(np.bincount(defs, minlength=spec.h + 1) for defs, _selectors in uses)
     est = RankDefDist(spec.h, counts / draws)
     report = PipelineReport(
         estimated_dist=est,

@@ -8,6 +8,7 @@ tests check the implementation against independent computations.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -105,3 +106,13 @@ def chi2_statistic(counts, expected) -> float:
     counts = np.asarray(counts, dtype=np.float64)
     expected = np.asarray(expected, dtype=np.float64)
     return float(((counts - expected) ** 2 / expected).sum())
+
+
+def traced_peak(fn) -> int:
+    """Peak traced memory, in bytes, of one call of ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,6 +3,7 @@ Blahut-Arimoto solver (checked against analytic fixtures and used as the
 independent oracle for the closed form)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ class TestSymmetricCapacityFromComponents:
         with pytest.raises(DistributionInvalidError):
             symmetric_capacity_from_components([(0, math.nan, 1.0), (1, 1.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "comps",
+        [
+            [(0, -1.0, 1.0), (1, 2.0, 1.0)],
+            [(0, math.inf, 1.0)],
+            [(0, 1.0, math.nan)],
+            [(0, 0.5, math.inf), (1, 0.5, 1.0)],
+        ],
+        ids=["negative-selection", "infinite-selection", "nan-capacity", "infinite-capacity"],
+    )
+    def test_invalid_components_rejected(self, comps):
+        """Negative or non-finite selection probabilities and non-finite
+        capacities; a negative mass could otherwise still sum to 1."""
+        with pytest.raises(DistributionInvalidError):
+            symmetric_capacity_from_components(comps)
+
 
 class TestMutualInformation:
     def test_point_mass_on_identity_channel(self):
@@ -200,6 +217,19 @@ class TestMutualInformation:
             mutual_information(chan, [0.5, 0.5])
         with pytest.raises(NotRowStochasticError):
             blahut_arimoto(chan)
+
+    @pytest.mark.parametrize(
+        "chan",
+        [[[1.0], [0.5, 0.5]], [["a"]], [[1.0 + 0j, 0.0], [0.0, 1.0]], [[None, 1.0]]],
+        ids=["ragged", "strings", "complex", "objects"],
+    )
+    def test_rejects_non_real_matrices(self, chan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotRowStochasticError):
+                mutual_information(chan, [1.0] + [0.0] * (len(chan) - 1))
+            with pytest.raises(NotRowStochasticError):
+                blahut_arimoto(chan)
 
     def test_uniform_input_on_dmc_matches_blahut_arimoto(self):
         dmc = build_dmc(MIXED)

@@ -11,12 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CHI2_CRIT_P001, chi2_statistic, matrices_by_rank
+from conftest import CHI2_CRIT_P001, chi2_statistic, matrices_by_rank, traced_peak
 from subchan import _kernels
 from subchan.capacity import blahut_arimoto, capacity_closed_form, mutual_information
 from subchan.channel import (
     ChannelSpec,
-    OutputAlphabet,
     RankDefDist,
     alphabet_sizes,
     build_dmc,
@@ -245,22 +244,11 @@ class TestBuildDmc:
         dmc = build_dmc(MIXED)
         dims = [dmc.output_index.dim_of(j) for j in range(dmc.num_outputs)]
         assert dims == sorted(dims)
+        assert [dmc.output_index.position(v) for v in dmc.output_index] == list(range(dmc.num_outputs))
         assert dims[0] == 0 and dims[-1] == MIXED.h
         assert all(
             dmc.component_of_output[j] == MIXED.h - dims[j] for j in range(dmc.num_outputs)
         )
-
-    @pytest.mark.parametrize("q, T, h", [(2, 3, 2), (3, 4, 2), (4, 3, 3)])
-    def test_batched_positions_agree_with_position(self, q, T, h):
-        alphabet = build_dmc(_spec(RankDefDist.uniform(h).probs, q, T, h)).output_index
-        outputs = list(alphabet)[::-1]
-        canon = np.zeros((len(outputs), h, T), dtype=np.uint8)
-        for k, v in enumerate(outputs):
-            canon[k, : v.dim] = v.basis.array
-        dims = np.array([v.dim for v in outputs])
-        expected = [alphabet.position(v) for v in outputs]
-        assert expected == list(range(len(alphabet)))[::-1]
-        assert alphabet.positions(canon, dims).tolist() == expected
 
     def test_rows_are_permutations_of_each_other(self):
         for spec in (DELTA0, DELTA1, MIXED):
@@ -438,21 +426,16 @@ class TestSimulateUses:
             simulate_frame(self.SPEC, draws, np.random.default_rng(0))
 
     def test_memory_beyond_the_outputs_does_not_grow_with_the_draw_count(self):
-        """Peak traced memory of one call, less twice the returned arrays, is
-        flat in the draw count: draws are simulated in fixed-size chunks."""
+        """The traced peak of one call is flat in the draw count: uses are
+        tallied chunk by chunk into one count per slot.  200,000 and 800,000
+        draws both span more than two chunks."""
         spec = ChannelSpec(GF(4), 5, 3, RankDefDist.uniform(3))
 
-        def excess(draws):
-            tracemalloc.start()
-            try:
-                frame, dims = simulate_frame(spec, draws, np.random.default_rng(0))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - 2 * (frame.nbytes + dims.nbytes)
+        def peak(draws):
+            return traced_peak(lambda: simulate_frame(spec, draws, np.random.default_rng(0)))
 
-        excess(10)  # warm the lazily built field and kernel tables
-        assert excess(300_000) - excess(100_000) < 1 << 20
+        peak(10)  # warm the lazily built field tables and Grassmannians
+        assert peak(800_000) - peak(200_000) < 256 << 10
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("h", [2, 3])
@@ -473,14 +456,14 @@ class TestSimulateUses:
     @pytest.mark.parametrize("T, h", [(4, 2), (5, 3)])
     def test_frame_is_the_papers_mechanism(self, q, T, h):
         """On one seed, the literal mechanism (a uniform ordered basis of u,
-        rows from h - d on zeroed, then eliminated) outputs R B_u, and the
-        slot of R among the subspaces of F_q^h is the output's slot in u's
-        support row.  A slot mislabelled within a dimension block would pass
-        every z-score of the MC; this pins it."""
+        rows from h - d on zeroed, then eliminated in F_q^T) puts each use
+        in a slot of u's support row, and the tally of ``simulate_frame`` on
+        the same seed counts exactly those slots.  A slot mislabelled within
+        a dimension block would pass every z-score of the MC; this pins it."""
         f, draws = GF(q), 3000
         spec = ChannelSpec(f, T, h, RankDefDist.uniform(h))
         dmc = build_dmc(spec)
-        frame_alphabet = OutputAlphabet(tuple(enumerate_grassmannian(f, h, d) for d in range(h + 1)))
+        alphabet, nnz = dmc.output_index, dmc.support.shape[1]
         cdf = np.cumsum(spec.rank_def.probs)
         for i in np.linspace(0, dmc.num_inputs - 1, 4).astype(int).tolist():
             u = dmc.input_index[i]
@@ -488,15 +471,19 @@ class TestSimulateUses:
             defs = np.minimum(np.searchsorted(cdf, rng.random(draws), side="right"), h)
             x = _random_ordered_bases(u, draws, rng)
             x[np.arange(h) >= h - defs[:, None]] = 0
-            ref, ref_dims = _kernels.rref_batch(x, f.add_table, f.mul_table, f.inv_table, f.neg_table)
-
-            frame, dims = simulate_frame(spec, draws, np.random.default_rng(100 + i))
-            basis = np.broadcast_to(u.basis.array, (draws, h, T))
-            assert np.array_equal(_kernels.matmul_batch(frame, basis, f.add_table, f.mul_table), ref)
+            ref, dims = _kernels.rref_batch(x, f.add_table, f.mul_table, f.inv_table, f.neg_table)
             assert np.array_equal(dims, h - defs)
-            assert np.array_equal(ref_dims, dims)
-            slots = frame_alphabet.positions(frame, dims)
-            assert np.array_equal(dmc.output_index.positions(ref, dims), dmc.support[i][slots])
+            columns = np.empty(draws, dtype=np.int64)
+            for d, block in enumerate(alphabet.blocks):
+                columns[dims == d] = alphabet.offsets[d] + block.indices(ref[dims == d, :d])
+            slot_of = np.full(dmc.num_outputs, -1)
+            slot_of[dmc.support[i]] = np.arange(nnz)
+            slots = slot_of[columns]
+            assert (slots >= 0).all()
+
+            tally = simulate_frame(spec, draws, np.random.default_rng(100 + i))
+            assert tally.dtype == np.int64
+            assert np.array_equal(tally, np.bincount(slots, minlength=nnz))
 
 
 class TestDmcMemory:

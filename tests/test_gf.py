@@ -107,6 +107,14 @@ def test_not_prime_power_rejected(bad):
         GF(bad)
 
 
+@pytest.mark.parametrize("q", [4.0, np.float64(4.0)], ids=["float", "numpy-float"])
+def test_float_size_rejected_after_the_field_is_built(q):
+    """The size is validated before the interned instance is looked up."""
+    GF(4)
+    with pytest.raises(NotPrimePowerError):
+        GF(q)
+
+
 def test_instances_are_interned():
     assert GF(4) is GF(4)
     assert GF(4) == GF(4)

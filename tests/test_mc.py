@@ -15,7 +15,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from subchan import grassmann, mc
+from conftest import traced_peak
+from subchan import _kernels, grassmann, mc
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc
 from subchan.errors import InsufficientDataError, SubchanError
 from subchan.gf import GF
@@ -78,17 +79,17 @@ class TestRunMcStructure:
 
     def test_off_support_draws_are_counted_and_fail_the_score(self, monkeypatch):
         """The channel never draws a slot of zero mass, so this path needs a
-        faked draw: draw 0 of every input becomes the zero space, which this
-        law never outputs."""
+        faked tally: one use of every input moves from F_q^h (the last slot)
+        to the zero space (slot 0), which this law never outputs."""
         simulate_frame = mc.simulate_frame
 
-        def first_draw_zero_space(spec, draws, rng):
-            frame, dims = simulate_frame(spec, draws, rng)
-            frame[0] = 0
-            dims[0] = 0
-            return frame, dims
+        def one_use_in_the_zero_space(spec, draws, rng):
+            tally = simulate_frame(spec, draws, rng)
+            tally[-1] -= 1
+            tally[0] += 1
+            return tally
 
-        monkeypatch.setattr(mc, "simulate_frame", first_draw_zero_space)
+        monkeypatch.setattr(mc, "simulate_frame", one_use_in_the_zero_space)
         report = run_mc(_spec([0.5, 0.5, 0]), 200, seed=2)
         assert report.off_support_hits == 7
         assert report.worst_z_score == math.inf
@@ -209,6 +210,27 @@ class TestPipeline:
     def test_empty_stream_rejected(self):
         with pytest.raises(InsufficientDataError):
             empirical_capacity_pipeline(MIXED, 0, seed=0)
+
+    def test_eliminates_nothing(self, monkeypatch):
+        """The pipeline reads only each use's deficiency: no kept rows are
+        reduced (the selector sampler's rank test is not an elimination of
+        kept rows, and stays)."""
+        calls = []
+        rref_batch = _kernels.rref_batch
+        monkeypatch.setattr(_kernels, "rref_batch", lambda *args: calls.append(1) or rref_batch(*args))
+        _est, report = empirical_capacity_pipeline(_spec([0.4, 0.3, 0.3], q=4, T=5, h=2), 500, seed=1)
+        assert calls == [] and sum(report.deficiency_counts) == 500
+
+    def test_memory_does_not_grow_with_the_draw_count(self):
+        """200,000 and 800,000 draws both span more than two chunks; only a
+        chunk's deficiencies and selectors are held at a time."""
+        spec = _spec(RankDefDist.uniform(3).probs, q=4, T=5, h=3)
+
+        def peak(draws):
+            return traced_peak(lambda: empirical_capacity_pipeline(spec, draws, seed=1))
+
+        peak(10)  # warm the lazily built field tables
+        assert peak(800_000) - peak(200_000) < 256 << 10
 
     def test_deterministic_given_seed(self):
         est1, rep1 = empirical_capacity_pipeline(MIXED, 5000, seed=9)
