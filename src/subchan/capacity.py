@@ -17,17 +17,21 @@ result equals the base-2 result divided by log2(b) exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSpec, Dmc
 from .errors import (
+    _SUM_TOLERANCE,
     DistributionInvalidError,
-    InvalidParameterError,
     NonConvergenceError,
     NotRowStochasticError,
     _check_int,
+    _check_probabilities,
+    _check_real,
+    _real_array,
 )
 from .grassmann import gaussian_coefficient
 
@@ -43,15 +47,9 @@ __all__ = [
     "symmetric_capacity_from_components",
 ]
 
-# Probability checks are written as `not <valid>`, so that NaN, which fails
-# every comparison, is rejected.
-_ROW_SUM_TOL = 1e-9
-
 
 def _base_divisor(log_base: float) -> float:
-    if not (math.isfinite(log_base) and log_base > 1.0):
-        raise InvalidParameterError(f"log base must be a finite number > 1, got {log_base}")
-    return math.log2(log_base)
+    return math.log2(_check_real("log base", log_base, above=1))
 
 
 @dataclass(frozen=True)
@@ -133,9 +131,7 @@ def capacity_closed_form(spec: ChannelSpec, log_base: float = 2.0) -> CapacityRe
 def strongly_symmetric_capacity(trans_row, num_outputs: int, log_base: float = 2.0) -> float:
     """Capacity of a strongly symmetric channel from one of its rows:
     log |Y| - H(row), achieved by the uniform input distribution."""
-    row = np.asarray(trans_row, dtype=np.float64)
-    if not (np.all(row >= 0) and abs(float(row.sum()) - 1.0) <= _ROW_SUM_TOL):
-        raise DistributionInvalidError("transition row must be a probability vector")
+    row = _check_probabilities("transition row", trans_row, DistributionInvalidError)
     num_outputs = _check_int("num_outputs", num_outputs, row.size)
     pos = row[row > 0]
     entropy_bits = float(-(pos * np.log2(pos)).sum())
@@ -149,32 +145,15 @@ def symmetric_capacity_from_components(comps) -> float:
     Accepts ComponentCapacity items or (rho, selection_prob, capacity)
     triples; selection probabilities must sum to 1.
     """
-    pairs = []
-    for item in comps:
-        if isinstance(item, ComponentCapacity):
-            item = (item.rho, item.selection_prob, item.capacity)
-        _rho, sel, cap = item
-        sel, cap = float(sel), float(cap)
-        if not (math.isfinite(sel) and sel >= 0 and math.isfinite(cap)):
-            raise DistributionInvalidError(f"component {item!r} needs a finite capacity and selection probability >= 0")
-        pairs.append((sel, cap))
-    total = math.fsum(sel for sel, _ in pairs)
-    if not abs(total - 1.0) <= _ROW_SUM_TOL:
-        raise DistributionInvalidError(f"selection probabilities sum to {total!r}, expected 1")
-    return math.fsum(sel * cap for sel, cap in pairs)
-
-
-def _as_transition_matrix(channel) -> np.ndarray:
-    try:
-        raw = np.asarray(getattr(channel, "trans", channel))
-    except ValueError:  # ragged nesting
-        raw = np.array(None)
-    if raw.dtype.kind not in "biuf" or raw.ndim != 2 or raw.shape[0] < 1:
-        raise NotRowStochasticError(f"expected a 2-D real transition matrix, got shape {raw.shape} of {raw.dtype}")
-    trans = raw.astype(np.float64)
-    if not np.all(trans >= 0):
-        raise NotRowStochasticError("transition matrix has negative or NaN entries")
-    return trans
+    if isinstance(comps, Iterable):
+        comps = [
+            (c.rho, c.selection_prob, c.capacity) if isinstance(c, ComponentCapacity) else c for c in comps
+        ]
+    table = _real_array("components", comps, DistributionInvalidError, 2)
+    if table.shape[1] != 3 or not np.all(np.isfinite(table[:, 2])):
+        raise DistributionInvalidError(f"components {table.shape} must be (rho, selection_prob, finite capacity) rows")
+    sel = _check_probabilities("selection probabilities", table[:, 1], DistributionInvalidError)
+    return math.fsum((sel * table[:, 2]).tolist())
 
 
 def _positive_entries(channel) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -188,14 +167,16 @@ def _positive_entries(channel) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
         rows, cols, vals = channel.triplets()
         n_inputs = channel.num_inputs
     else:
-        trans = _as_transition_matrix(channel)
+        trans = _real_array("transition matrix", getattr(channel, "trans", channel), NotRowStochasticError, 2)
+        if not (trans.shape[0] >= 1 and np.all(trans >= 0)):
+            raise NotRowStochasticError(f"transition matrix {trans.shape} has no rows or a negative or NaN entry")
         rows, cols = np.nonzero(trans)
         vals = trans[rows, cols]
         n_inputs = trans.shape[0]
     sums = np.bincount(rows, weights=vals, minlength=n_inputs)
     worst = float(np.max(np.abs(sums - 1.0)))
-    if not worst <= _ROW_SUM_TOL:
-        raise NotRowStochasticError(f"rows must sum to 1 within {_ROW_SUM_TOL}; worst deviation {worst:.3e}")
+    if not worst <= _SUM_TOLERANCE:
+        raise NotRowStochasticError(f"rows must sum to 1 within {_SUM_TOLERANCE}; worst deviation {worst:.3e}")
     return rows, cols, vals, n_inputs
 
 
@@ -203,13 +184,7 @@ def mutual_information(channel, input_dist, log_base: float = 2.0) -> float:
     """I(X; Y) = H(Y) - H(Y|X) for a transition matrix (or Dmc) and an input
     distribution, with the 0 log 0 = 0 convention."""
     rows, cols, vals, n_inputs = _positive_entries(channel)
-    p = np.asarray(input_dist, dtype=np.float64)
-    if p.shape != (n_inputs,):
-        raise DistributionInvalidError(
-            f"input distribution has shape {p.shape}, expected ({n_inputs},)"
-        )
-    if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= _ROW_SUM_TOL):
-        raise DistributionInvalidError("input distribution must be nonnegative and sum to 1")
+    p = _check_probabilities("input distribution", input_dist, DistributionInvalidError, n_inputs)
     joint = p[rows] * vals
     out = np.bincount(cols, weights=joint)
     active = joint > 0
@@ -232,8 +207,7 @@ def blahut_arimoto(
     NonConvergenceError (carrying the best solution found) if ``max_iters``
     is hit first.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"tol must be a finite number > 0, got {tol}")
+    tol = _check_real("tol", tol, above=0)
     max_iters = _check_int("max_iters", max_iters, 1)
     divisor = _base_divisor(log_base)
     rows, cols, vals, n_inputs = _positive_entries(channel)

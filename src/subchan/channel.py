@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -36,6 +37,8 @@ from .errors import (
     InvalidParameterError,
     ObservationOutOfRangeError,
     _check_int,
+    _check_probabilities,
+    _real_array,
 )
 from .gf import GF
 from .grassmann import (
@@ -71,7 +74,6 @@ __all__ = [
     "transition_prob",
 ]
 
-_SUM_TOLERANCE = 1e-9
 # Uses per chunk of _draw_uses; part of the seeded stream's definition.
 _CHUNK = 65_536
 
@@ -87,22 +89,9 @@ class RankDefDist:
 
     def __init__(self, h: int, probs) -> None:
         h = _check_int("h", h, 0, DistributionInvalidError)
-        vec = np.asarray(probs, dtype=np.float64)
-        if vec.shape != (h + 1,):
-            raise DistributionInvalidError(
-                f"rank deficiency distribution needs h+1 = {h + 1} entries, got shape {vec.shape}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise DistributionInvalidError("rank deficiency probabilities must be finite")
-        if np.any(vec < 0):
-            raise DistributionInvalidError("rank deficiency probabilities must be nonnegative")
-        total = float(vec.sum())
-        if abs(total - 1.0) > _SUM_TOLERANCE:
-            raise DistributionInvalidError(
-                f"rank deficiency probabilities must sum to 1 within {_SUM_TOLERANCE}, got {total!r}"
-            )
+        vec = _check_probabilities("rank deficiency probabilities", probs, DistributionInvalidError, h + 1)
         self.h = h
-        self.probs = vec / total
+        self.probs = vec / float(vec.sum())
         self.probs.setflags(write=False)
 
     @classmethod
@@ -165,7 +154,7 @@ def _spec_int(data: dict, key: str, minimum: int) -> int:
     return _check_int(key, value, minimum)
 
 
-def channel_spec_from_dict(data: dict) -> tuple[ChannelSpec, list[str]]:
+def channel_spec_from_dict(data: Mapping) -> tuple[ChannelSpec, list[str]]:
     """Build a ChannelSpec from the JSON object {"q", "T", "h", "rank_def"}.
 
     q, T and h must be integers (integral floats accepted) and rank_def a
@@ -174,6 +163,8 @@ def channel_spec_from_dict(data: dict) -> tuple[ChannelSpec, list[str]]:
     renormalized with a note in the returned warnings list (pure
     float-representation dust below 1e-15 is silent).
     """
+    if not isinstance(data, Mapping):
+        raise DistributionInvalidError(f"channel spec must be a JSON object, got {type(data).__name__}")
     warnings: list[str] = []
     for key in ("q", "T", "h", "rank_def"):
         if key not in data:
@@ -181,12 +172,10 @@ def channel_spec_from_dict(data: dict) -> tuple[ChannelSpec, list[str]]:
     field = GF(_spec_int(data, "q", 2))
     T, h = _spec_int(data, "T", 1), _spec_int(data, "h", 1)
     try:
-        vec = np.asarray(data["rank_def"])
-    except ValueError:  # ragged nesting
-        vec = None
-    if vec is None or vec.dtype.kind not in "iuf":
-        raise DistributionInvalidError(f"rank_def must be a list of numbers, got {data['rank_def']!r}")
-    total = float(vec.sum()) if vec.size else 0.0
+        vec = _real_array("rank_def", data["rank_def"], DistributionInvalidError, 1)
+    except DistributionInvalidError:
+        raise DistributionInvalidError(f"rank_def must be a list of numbers, got {data['rank_def']!r}") from None
+    total = float(vec.sum())
     dist = RankDefDist(h, vec)
     if abs(total - 1.0) > 1e-15:
         warnings.append(f"rank_def renormalized: input mass deviated from 1 by {abs(total - 1.0):.3e}")
@@ -500,7 +489,7 @@ def estimate_rank_def_dist(observations, h: int, kind: str = "deficiency") -> Ra
     h = _check_int("h", h, 0)
     try:
         obs = np.asarray(observations if isinstance(observations, np.ndarray) else list(observations))
-    except ValueError:  # ragged nesting
+    except (TypeError, ValueError):  # not iterable, or ragged nesting
         obs = None
     if obs is not None and obs.size == 0:
         raise InsufficientDataError("cannot estimate a distribution from zero observations")
@@ -516,10 +505,7 @@ def _dmc_metadata(dmc: Dmc) -> dict:
     """The entries of ``dmc_to_dict`` other than the transitions."""
     return {
         "format_version": 1,
-        "q": dmc.spec.field.q,
-        "T": dmc.spec.T,
-        "h": dmc.spec.h,
-        "rank_def": [float(p) for p in dmc.spec.rank_def.probs],
+        **channel_spec_to_dict(dmc.spec),
         "input_labels": dmc.input_index.labels(),
         "output_labels": dmc.output_index.labels(),
         "output_dims": (dmc.spec.h - dmc.component_of_output).tolist(),

@@ -34,7 +34,7 @@ from .channel import (
     dmc_to_csv,
     dmc_to_json,
 )
-from .errors import NonConvergenceError, SubchanError
+from .errors import _SUM_TOLERANCE, NonConvergenceError, SubchanError, _check_real
 from .grassmann import count_ordered_bases, gaussian_coefficient
 from .mc import empirical_capacity_pipeline, mc_report_to_csv, mc_report_to_dict, run_mc
 
@@ -84,14 +84,10 @@ def _resolve_spec(args, parser: argparse.ArgumentParser) -> ChannelSpec:
 def _resolve_log_base(value: str, spec: ChannelSpec) -> float:
     if value == "q":
         return float(spec.field.q)
-    message = f"--log-base must be a finite number > 1 or 'q', got {value!r}"
     try:
-        base = float(value)
-    except ValueError:
-        raise SubchanError(message) from None
-    if not (math.isfinite(base) and base > 1.0):
-        raise SubchanError(message)
-    return base
+        return _check_real("--log-base", float(value), above=1)
+    except ValueError:  # not a number, or InvalidParameterError
+        raise SubchanError(f"--log-base must be a finite number > 1 or 'q', got {value!r}") from None
 
 
 @contextlib.contextmanager
@@ -181,7 +177,7 @@ def cmd_matrix(args, parser) -> int:
         rows, _cols, vals = dmc.triplets()
         worst = float(np.max(np.abs(np.bincount(rows, weights=vals, minlength=nx) - 1.0)))
         print(f"row sums: all {nx} rows equal 1.0 (max |sum - 1| = {worst:.3e})", file=sys.stderr)
-        if worst > 1e-9:
+        if worst > _SUM_TOLERANCE:
             print("row-sum audit failed", file=sys.stderr)
             return 3
     return 0

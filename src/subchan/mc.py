@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityReport, capacity_closed_form
-from .channel import ChannelSpec, RankDefDist, _draw_uses, build_dmc, simulate_frame
-from .errors import InsufficientDataError, _check_int
+from .channel import ChannelSpec, RankDefDist, _draw_uses, build_dmc, channel_spec_to_dict, simulate_frame
+from .errors import InsufficientDataError, _check_int, _check_real
 
 __all__ = [
     "McCell",
@@ -144,6 +144,7 @@ def empirical_capacity_pipeline(
     """
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
+    log_base = _check_real("log base", log_base, above=1)
     uses = _draw_uses(spec, draws, _substream(seed, 0))
     counts = sum(np.bincount(defs, minlength=spec.h + 1) for defs, _selectors in uses)
     est = RankDefDist(spec.h, counts / draws)
@@ -165,10 +166,7 @@ def _json_float(x: float):
 def mc_report_to_dict(report: McReport) -> dict:
     return {
         "format_version": 1,
-        "q": report.spec.field.q,
-        "T": report.spec.T,
-        "h": report.spec.h,
-        "rank_def": [float(p) for p in report.spec.rank_def.probs],
+        **channel_spec_to_dict(report.spec),
         "draws_per_input": report.draws_per_input,
         "seed": report.seed,
         "max_abs_deviation": report.max_abs_deviation,

@@ -152,6 +152,11 @@ class TestChannelSpec:
         with pytest.raises(DistributionInvalidError):
             channel_spec_from_dict({"q": 2, "T": 3, "h": 2})
 
+    @pytest.mark.parametrize("data", [None, 5, "spec", ["q", "T", "h", "rank_def"]])
+    def test_loader_rejects_a_non_object(self, data):
+        with pytest.raises(DistributionInvalidError, match="channel spec must be a JSON object"):
+            channel_spec_from_dict(data)
+
 
 class TestTransitionProb:
     def test_uniform_third_for_one_dimensional_output(self):
@@ -246,6 +251,11 @@ class TestBuildDmc:
         assert dims == sorted(dims)
         assert [dmc.output_index.position(v) for v in dmc.output_index] == list(range(dmc.num_outputs))
         assert dims[0] == 0 and dims[-1] == MIXED.h
+        with pytest.raises(KeyError, match="dimension 3 not in the output alphabet"):
+            dmc.output_index.position(span(Mat.identity(F2, 3)))
+        for j in (-1, dmc.num_outputs):
+            with pytest.raises(IndexError):
+                dmc.output_index.dim_of(j)
         assert all(
             dmc.component_of_output[j] == MIXED.h - dims[j] for j in range(dmc.num_outputs)
         )
@@ -593,7 +603,7 @@ class TestEstimateRankDefDist:
 
     @pytest.mark.parametrize(
         "observations",
-        [[0, 1, 2.9], [0.0, 1.0], np.array([0.5]), [True, False], ["1"], [[0, 1], [1, 0]], [[0], [0, 1]]],
+        [[0, 1, 2.9], [0.0, 1.0], np.array([0.5]), [True, False], ["1"], [[0, 1], [1, 0]], [[0], [0, 1]], None, 5],
     )
     def test_non_integer_observations_rejected(self, observations):
         with pytest.raises(InvalidParameterError, match="flat sequence of integers"):
@@ -601,7 +611,8 @@ class TestEstimateRankDefDist:
 
     def test_array_and_iterator_inputs(self):
         expected = [0.5, 0.25, 0.25]
-        for observations in (np.array([0, 2, 1, 0], dtype=np.uint8), iter([0, 2, 1, 0]), (0, 2, 1, 0)):
+        generator = (x for x in [0, 2, 1, 0])
+        for observations in (np.array([0, 2, 1, 0], dtype=np.uint8), iter([0, 2, 1, 0]), (0, 2, 1, 0), generator):
             assert estimate_rank_def_dist(observations, 2).probs.tolist() == expected
 
     def test_bad_kind(self):

@@ -10,7 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from subchan import cli
 from subchan.cli import main
+from subchan.errors import NonConvergenceError
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 INLINE = ["--q", "2", "--T", "3", "--h", "2", "--rank-def", "0.5,0.3,0.2"]
@@ -85,7 +87,7 @@ class TestCapacity:
         assert code == 2
         assert "log-base" in err
 
-    @pytest.mark.parametrize("base", ["nan", "inf"])
+    @pytest.mark.parametrize("base", ["nan", "inf", "abc"])
     @pytest.mark.parametrize(
         "command", [["capacity"], ["simulate", "--draws", "10", "--pipeline"], ["simulate", "--draws", "5"]]
     )
@@ -94,6 +96,16 @@ class TestCapacity:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: --log-base must be a finite number > 1 or 'q', got {base!r}"]
+
+    def test_verify_nonconvergence_exit_3(self, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise NonConvergenceError("Blahut-Arimoto did not reach gap <= 1e-09 within 1 iterations")
+
+        monkeypatch.setattr(cli, "blahut_arimoto", no_convergence)
+        code, out, err = _run(capsys, ["capacity", *INLINE, "--verify"])
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["verification failed: Blahut-Arimoto did not reach gap <= 1e-09 within 1 iterations"]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_bad_tol_exit_2(self, capsys, tol):
@@ -126,6 +138,37 @@ class TestSpecSources:
         with pytest.raises(SystemExit) as exc_info:
             _run(capsys, ["capacity", "--spec", str(path), *INLINE])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "cannot read spec file"), ("{", "spec file is not valid JSON")],
+        ids=["unreadable", "not-json"],
+    )
+    def test_bad_spec_file_exit_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc_info:
+            _run(capsys, ["capacity", "--spec", str(path)])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_non_numeric_inline_rank_def_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            _run(capsys, ["capacity", "--q", "2", "--T", "3", "--h", "2", "--rank-def", "0.5,x"])
+        assert exc_info.value.code == 2
+        assert "--rank-def must be comma-separated numbers, got '0.5,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["null", "5", "[1, 2]"])
+    def test_spec_file_not_an_object_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "spec.json"
+        path.write_text(content)
+        code, out, err = _run(capsys, ["capacity", "--spec", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: channel spec must be a JSON object, got ")
 
     def test_missing_parameters_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

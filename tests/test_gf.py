@@ -272,6 +272,8 @@ class TestFieldElement:
             GF(2).element(1) + GF(3).element(1)
         with pytest.raises(FieldMismatchError):
             GF(4).element(2) * GF(8).element(2)
+        with pytest.raises(TypeError, match="expected FieldElement, got int"):
+            GF(3).element(1) + 1
 
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):

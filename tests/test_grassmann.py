@@ -491,6 +491,19 @@ class TestSubspaceType:
         with pytest.raises(InvalidParameterError):
             Subspace(f, len(rows[0]), Mat.from_rows(f, rows))
 
+    @pytest.mark.parametrize(
+        "field, ambient_dim, rows, error",
+        [
+            (GF(3), 3, [[1, 0, 0]], AmbientMismatchError),
+            (F2, 4, [[1, 0, 0]], DimensionMismatchError),
+            (F2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], DimensionMismatchError),
+        ],
+        ids=["basis-over-another-field", "wrong-column-count", "more-rows-than-T"],
+    )
+    def test_basis_must_fit_the_ambient_space(self, field, ambient_dim, rows, error):
+        with pytest.raises(error):
+            Subspace(field, ambient_dim, Mat.from_rows(F2, rows))
+
     def test_equality_is_row_space_equality(self):
         a = span(Mat.from_rows(F2, [[0, 1, 0], [1, 0, 0]]))
         b = span(Mat.from_rows(F2, [[1, 1, 0], [0, 1, 0]]))

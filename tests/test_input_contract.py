@@ -1,0 +1,101 @@
+"""Input contract of the public entry points.
+
+A real number is an int or a float (numpy scalars included), never a bool; a
+probability vector is a flat sequence of finite, nonnegative reals summing to
+1 within 1e-9; a transition matrix is a 2-D array of such rows.  Every
+malformed argument raises the documented SubchanError subclass: never a bare
+ValueError or TypeError, and never a silent result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from subchan.capacity import (
+    blahut_arimoto,
+    capacity_closed_form,
+    component_capacity,
+    mutual_information,
+    strongly_symmetric_capacity,
+    symmetric_capacity_from_components,
+)
+from subchan.channel import ChannelSpec, RankDefDist, channel_spec_from_dict, estimate_rank_def_dist
+from subchan.errors import (
+    DistributionInvalidError,
+    InvalidParameterError,
+    NotRowStochasticError,
+    _check_real,
+)
+from subchan.gf import GF
+from subchan.mc import empirical_capacity_pipeline
+
+SPEC = ChannelSpec(GF(2), 3, 2, RankDefDist(2, [0.5, 0.3, 0.2]))
+EYE = np.eye(2)
+RAGGED = [[0.5], [0.5, 0.0]]
+COMPLEX = [0.5 + 0j, 0.5]
+
+CASES = {
+    "RankDefDist-str": (lambda: RankDefDist(1, ["a", "b"]), DistributionInvalidError),
+    "RankDefDist-complex": (lambda: RankDefDist(1, COMPLEX), DistributionInvalidError),
+    "RankDefDist-ragged": (lambda: RankDefDist(1, RAGGED), DistributionInvalidError),
+    "RankDefDist-bool": (lambda: RankDefDist(1, [True, False]), DistributionInvalidError),
+    "strongly_symmetric-str": (lambda: strongly_symmetric_capacity(["a", 1.0], 2), DistributionInvalidError),
+    "strongly_symmetric-ragged": (lambda: strongly_symmetric_capacity(RAGGED, 2), DistributionInvalidError),
+    "strongly_symmetric-complex": (lambda: strongly_symmetric_capacity(COMPLEX, 2), DistributionInvalidError),
+    "strongly_symmetric-matrix": (lambda: strongly_symmetric_capacity([[0.5, 0.5]], 2), DistributionInvalidError),
+    "strongly_symmetric-base-None": (
+        lambda: strongly_symmetric_capacity([0.5, 0.5], 2, log_base=None),
+        InvalidParameterError,
+    ),
+    "mutual_information-str": (lambda: mutual_information(EYE, ["a", "b"]), DistributionInvalidError),
+    "mutual_information-complex": (lambda: mutual_information(EYE, COMPLEX), DistributionInvalidError),
+    "mutual_information-dict": (lambda: mutual_information(EYE, {"a": 1}), DistributionInvalidError),
+    "mutual_information-bool": (lambda: mutual_information(EYE, [True, False]), DistributionInvalidError),
+    "mutual_information-bool-matrix": (
+        lambda: mutual_information(np.eye(2, dtype=bool), [0.5, 0.5]),
+        NotRowStochasticError,
+    ),
+    "components-str": (lambda: symmetric_capacity_from_components([(0, "a", 1.0)]), DistributionInvalidError),
+    "components-pair": (lambda: symmetric_capacity_from_components([(0, 1.0)]), DistributionInvalidError),
+    "components-flat": (lambda: symmetric_capacity_from_components([1, 2]), DistributionInvalidError),
+    "components-None": (lambda: symmetric_capacity_from_components(None), DistributionInvalidError),
+    "closed_form-base-None": (lambda: capacity_closed_form(SPEC, None), InvalidParameterError),
+    "closed_form-base-complex": (lambda: capacity_closed_form(SPEC, 2 + 0j), InvalidParameterError),
+    "component_capacity-base-str": (lambda: component_capacity(2, 3, 2, 0, "2"), InvalidParameterError),
+    "blahut_arimoto-tol-None": (lambda: blahut_arimoto(EYE, tol=None), InvalidParameterError),
+    "blahut_arimoto-tol-complex": (lambda: blahut_arimoto(EYE, tol=1e-9 + 0j), InvalidParameterError),
+    "blahut_arimoto-base-str": (lambda: blahut_arimoto(EYE, log_base="2"), InvalidParameterError),
+    "blahut_arimoto-bool-matrix": (lambda: blahut_arimoto(np.eye(2, dtype=bool)), NotRowStochasticError),
+    "pipeline-base-str": (lambda: empirical_capacity_pipeline(SPEC, 10, 0, "2"), InvalidParameterError),
+    "spec_from_dict-None": (lambda: channel_spec_from_dict(None), DistributionInvalidError),
+    "spec_from_dict-list": (lambda: channel_spec_from_dict(["q", "T", "h", "rank_def"]), DistributionInvalidError),
+    "estimate-None": (lambda: estimate_rank_def_dist(None, 1), InvalidParameterError),
+    "estimate-int": (lambda: estimate_rank_def_dist(5, 1), InvalidParameterError),
+}
+
+
+@pytest.mark.parametrize("call, error", CASES.values(), ids=CASES.keys())
+def test_bad_input_raises_the_documented_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.int64(2), np.float32(2.0)])
+def test_every_real_type_gives_the_same_result(value):
+    assert _check_real("x", value, above=1) == 2.0
+    assert component_capacity(2, 4, 2, 1, log_base=value) == component_capacity(2, 4, 2, 1)
+    assert mutual_information(EYE, [0.5, 0.5], log_base=value) == mutual_information(EYE, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "3", None, 3 + 0j, math.nan, math.inf, -math.inf, 10**400])
+def test_check_real_rejects_non_finite_and_non_numbers(value):
+    with pytest.raises(InvalidParameterError, match=r"^x must be a finite number > 0, got "):
+        _check_real("x", value, above=0)
+
+
+def test_integer_probability_vectors_and_generators_accepted():
+    assert RankDefDist(2, [0, 1, 0]) == RankDefDist.point_mass(2, 1)
+    assert mutual_information(np.eye(2, dtype=np.int64), [1, 0]) == 0.0
+    comps = capacity_closed_form(SPEC).per_component
+    assert symmetric_capacity_from_components(c for c in comps) == symmetric_capacity_from_components(comps)

@@ -13,6 +13,7 @@ from subchan.matrix import (
     rank,
     rref,
     sample_full_rank,
+    sample_full_rank_batch,
 )
 
 F2 = GF(2)
@@ -136,6 +137,11 @@ class TestSampleFullRank:
         stat = chi2_statistic(list(counts.values()), [draws / 6] * 6)
         assert stat < CHI2_CRIT_P001[5]
 
+    @pytest.mark.parametrize("n, m", [(-1, 2), (2, -1)])
+    def test_negative_dimension_rejected(self, n, m):
+        with pytest.raises(DimensionMismatchError):
+            sample_full_rank_batch(F2, n, m, 1, np.random.default_rng(0))
+
     def test_degenerate_dimension_returns_empty(self):
         rng = np.random.default_rng(2)
         m = sample_full_rank(F2, 0, 3, rng)
@@ -159,8 +165,14 @@ class TestMatValidation:
 
     @pytest.mark.parametrize(
         "array",
-        [np.array([[1.5, 0.0]]), np.array([[-1, 0]], dtype=np.int64), np.array([[0, 3]], dtype=np.int8)],
-        ids=["float", "negative-int64", "int8-equal-to-q"],
+        [
+            np.array([[1.5, 0.0]]),
+            np.array([[-1, 0]], dtype=np.int64),
+            np.array([[0, 3]], dtype=np.int8),
+            np.array([[1, None]], dtype=object),
+            np.array([[1 + 0j, 0]]),
+        ],
+        ids=["float", "negative-int64", "int8-equal-to-q", "object", "complex"],
     )
     def test_bad_array_entries_rejected(self, array):
         with pytest.raises(SubchanError):

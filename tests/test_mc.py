@@ -18,7 +18,7 @@ import pytest
 from conftest import traced_peak
 from subchan import _kernels, grassmann, mc
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc
-from subchan.errors import InsufficientDataError, SubchanError
+from subchan.errors import InsufficientDataError, InvalidParameterError, SubchanError
 from subchan.gf import GF
 from subchan.grassmann import GrassmannianIndex
 from subchan.mc import (
@@ -152,6 +152,15 @@ class TestRunMcStructure:
             run_mc(DELTA1, draws, seed)
         with pytest.raises(SubchanError):
             empirical_capacity_pipeline(DELTA1, draws, seed)
+
+    @pytest.mark.parametrize("log_base", ["2", None, 1.0, math.nan, True])
+    def test_log_base_checked_before_any_draw(self, monkeypatch, log_base):
+        def fail(*args):
+            raise AssertionError("drew channel uses before checking log_base")
+
+        monkeypatch.setattr(mc, "_draw_uses", fail)
+        with pytest.raises(InvalidParameterError, match="log base must be a finite number > 1"):
+            empirical_capacity_pipeline(DELTA1, 10, 0, log_base)
 
     def test_numpy_integer_draws_and_seed_accepted(self):
         report = mc_report_to_dict(run_mc(DELTA1, np.int64(20), np.uint32(3)))
