@@ -122,7 +122,9 @@ def _unpack(planes, cols):
     nbytes = (cols + 7) // 8
     big = planes.astype("<u8", copy=False)[..., None].view(np.uint8)[..., nbytes - 1 :: -1]
     bits = np.unpackbits(big.reshape(-1)).reshape(big.shape[:-1] + (8 * nbytes,))
-    return sum((bits[j] << j for j in range(1, len(bits))), bits[0])[..., 8 * nbytes - cols :]
+    for j in range(1, len(bits)):  # in place: the peak must not hinge on numpy eliding a temporary
+        bits[0] |= bits[j] << j
+    return bits[0, ..., 8 * nbytes - cols :]
 
 
 def _high_bit(words, cols):

@@ -31,6 +31,7 @@ from .errors import (
     _check_int,
     _check_probabilities,
     _check_real,
+    _check_type,
     _real_array,
 )
 from .grassmann import gaussian_coefficient
@@ -115,6 +116,7 @@ def _units_note(q: int, log_base: float) -> str:
 def capacity_closed_form(spec: ChannelSpec, log_base: float = 2.0) -> CapacityReport:
     """Closed-form channel capacity: the rank-deficiency-weighted sum of
     component capacities."""
+    _check_type("spec", spec, ChannelSpec)
     q, T, h = spec.field.q, spec.T, spec.h
     comps = tuple(
         ComponentCapacity(

@@ -38,6 +38,7 @@ from .errors import (
     ObservationOutOfRangeError,
     _check_int,
     _check_probabilities,
+    _check_type,
     _real_array,
 )
 from .gf import GF
@@ -132,6 +133,8 @@ class ChannelSpec:
     rank_def: RankDefDist
 
     def __post_init__(self):
+        _check_type("field", self.field, GF)
+        _check_type("rank_def", self.rank_def, RankDefDist)
         for name in ("T", "h"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, DimensionMismatchError))
         if not 1 <= self.h <= self.T:
@@ -362,6 +365,7 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     first, the h-dimensional block last), each block in deterministic
     Grassmannian enumeration order; this layout is stable across runs.
     """
+    _check_type("spec", spec, ChannelSpec)
     f, T, h = spec.field, spec.T, spec.h
     q = f.q
     alphabet_sizes(spec)
@@ -387,51 +391,52 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     return Dmc(spec, input_index, output_index, support, values, component)
 
 
-def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
-    """The seeded stream of ``draws`` channel uses: per chunk of at most
-    65,536 uses, all their rank deficiencies d, then all their uniform
-    full-rank h x h selectors S, yielded as ``(defs, selectors)``.  A use
-    keeps the first h - d rows of S B_u, a uniform ordered basis of u."""
-    f, h = spec.field, spec.h
+def _draw_deficiencies(spec: ChannelSpec, draws: int, rng: np.random.Generator):
+    """The deficiencies of ``draws`` uses, per chunk of n <= 65,536: ``rng.random(n)`` through the cdf."""
     cdf = np.cumsum(spec.rank_def.probs)
     for start in range(0, draws, _CHUNK):
-        n = min(_CHUNK, draws - start)
-        defs = np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), h)
-        yield defs, sample_full_rank_batch(f, h, h, n, rng)
+        yield np.minimum(np.searchsorted(cdf, rng.random(min(_CHUNK, draws - start)), side="right"), spec.h)
+
+
+def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
+    """The seeded stream of ``draws`` uses, per chunk ``(defs, kept)``: its deficiencies, then
+    for each d = 1..h-1 in order ``kept[d]``, the kept selector rows of its uses of deficiency d
+    as a uniform full-rank (count_d, h - d, h) batch.  Nothing is drawn for d = 0 or d = h."""
+    f, h = spec.field, spec.h
+    for defs in _draw_deficiencies(spec, draws, rng):
+        yield defs, {d: sample_full_rank_batch(f, h - d, h, np.count_nonzero(defs == d), rng) for d in range(1, h)}
 
 
 def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> np.ndarray:
     """Tally of ``draws`` uses of any input u, in the frame of its canonical
     basis B_u: the int64 count of each slot of a ``Dmc.support`` row.
 
-    A use outputs R B_u, R the RREF of the h - d kept selector rows, and its
-    slot is R's position among the subspaces of F_q^h (``subspaces_of_batch``
-    order).  Those rows are independent, so d = 0 is F_q^h (the last slot)
-    and d = h the zero space (slot 0); only 0 < d < h is eliminated, one
-    batch per deficiency.  Memory is bounded by a chunk of ``_draw_uses``.
+    A use of deficiency 0 < d < h outputs R B_u, R the RREF of its kept rows,
+    and its slot is R's position among the subspaces of F_q^h (the order of
+    ``subspaces_of_batch``); d = 0 outputs u (the last slot) and d = h the zero
+    space (slot 0).  Memory is bounded by a chunk of ``_draw_uses``.
     """
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
     tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
     frame = OutputAlphabet(tuple(enumerate_grassmannian(f, h, d) for d in range(h + 1)))
     tally = np.zeros(len(frame), dtype=np.int64)
-    for defs, s in _draw_uses(spec, draws, rng):
-        counts = np.bincount(defs, minlength=h + 1)
-        tally[0] += counts[h]
-        tally[-1] += counts[0]
-        for d in range(1, h):
-            canon = _kernels.rref_batch(s[defs == d, : h - d], *tables)[0]
+    for defs, kept in _draw_uses(spec, draws, rng):
+        tally[[0, -1]] += np.bincount(defs, minlength=h + 1)[[h, 0]]
+        for d, rows in kept.items():
+            canon = _kernels.rref_batch(rows, *tables)[0]
             lo, hi = frame.offsets[h - d : h - d + 2]
             tally[lo:hi] += np.bincount(frame.blocks[h - d].indices(canon), minlength=hi - lo)
     return tally
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One channel use of input u, from one draw of ``_draw_uses``: the span
-    of the first h - d rows of the ordered basis S B_u."""
+    """One channel use of input u, from one draw of ``_draw_uses``: the span of
+    ``kept[d]`` B_u, or of I_h B_u = u at d = 0 and of no row at d = h."""
     _check_input_subspace(spec, u)
-    ((defs, s),) = _draw_uses(spec, 1, rng)
-    return span(matmul(Mat(spec.field, s[0, : spec.h - defs[0]]), u.basis))
+    ((defs, kept),) = _draw_uses(spec, 1, rng)
+    rows = kept.get(defs[0], np.eye(spec.h, dtype=np.uint8)[None, : spec.h - defs[0]])[0]
+    return span(matmul(Mat(spec.field, rows), u.basis))
 
 
 @dataclass(frozen=True, eq=False)

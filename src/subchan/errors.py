@@ -1,6 +1,7 @@
 """Exception types raised across the package, and the one check of each
-input rule: ``_check_int`` (an integer, not a bool), ``_check_real`` (a finite
-int or float, not a bool), ``_real_array`` and ``_check_probabilities``.  Each
+input rule: ``_check_type`` (an instance of a package class), ``_check_int``
+(an integer, not a bool), ``_check_real`` (a finite int or float, not a
+bool), ``_real_array`` and ``_check_probabilities``.  Each
 raises a SubchanError subclass, never a bare ValueError or TypeError."""
 
 import math
@@ -66,6 +67,13 @@ class NonConvergenceError(SubchanError, RuntimeError):
     def __init__(self, message, solution=None):
         super().__init__(message)
         self.solution = solution
+
+
+def _check_type(name: str, value, cls: type):
+    """value itself if it is a ``cls``; anything else raises InvalidParameterError."""
+    if not isinstance(value, cls):
+        raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _check_int(name: str, value, minimum: int, error=InvalidParameterError, *, maximum=None) -> int:

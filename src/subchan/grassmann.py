@@ -29,6 +29,7 @@ from .errors import (
     EnumerationTooLargeError,
     InvalidParameterError,
     _check_int,
+    _check_type,
 )
 from .gf import GF, _factor_prime_power
 from .matrix import Mat, rank, rref, sample_full_rank_batch
@@ -177,7 +178,7 @@ def _labels(q: int, bases: np.ndarray) -> list[str]:
 
 def span(x: Mat) -> Subspace:
     """Canonical subspace spanned by the rows of x."""
-    r, piv = rref(x)
+    r, piv = rref(_check_type("x", x, Mat))
     basis = Mat(x.field, r.array[: len(piv)])
     return Subspace(x.field, x.cols, basis)
 

@@ -11,12 +11,13 @@ The sampler draws batches; a single-matrix draw is a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatchError, FieldMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, FieldMismatchError, InvalidParameterError, _check_type
 from .gf import GF
 
 __all__ = [
@@ -37,6 +38,7 @@ class Mat:
     array: np.ndarray = dc_field(repr=False)
 
     def __post_init__(self):
+        _check_type("field", self.field, GF)
         raw = np.asarray(self.array)
         if raw.ndim != 2:
             raise DimensionMismatchError(f"matrix must be 2-D, got shape {raw.shape}")
@@ -122,27 +124,25 @@ def rank(m: Mat) -> int:
 
 def sample_full_rank_batch(field: GF, n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """count uniform draws over full-rank n x m matrices, as a (count, n, m)
-    array, by chunked rejection: draw exactly as many candidates as are still
-    missing, keep the full-rank ones in order.
-
-    A uniform candidate is accepted with probability
-    prod_{i=0}^{k-1} (1 - q^{i - K}), k = min(n, m), K = max(n, m); this is
-    bounded below by ~0.288 at q = 2.
-    """
+    array, by rejection.  A uniform candidate is full-rank with probability
+    a = prod_{i=0}^{k-1} (1 - q^{i - K}), k = min(n, m), K = max(n, m), at least
+    ~0.288 at q = 2.  Each round draws 10% more than the missing count over a,
+    plus 8, and keeps the first full-rank candidates in order, so a call almost
+    always takes one round."""
     if n < 0 or m < 0:
         raise DimensionMismatchError("negative matrix dimension")
     out = np.zeros((count, n, m), dtype=np.uint8)
-    target = min(n, m)
+    target, big = min(n, m), max(n, m)
     if count == 0 or target == 0:
         return out
-    f = field
+    tables = (field.add_table, field.mul_table, field.inv_table, field.neg_table)
+    accept = math.prod(1.0 - float(field.q) ** (i - big) for i in range(target))
     filled = 0
-    while filled < count:
-        cand = rng.integers(0, f.q, size=(count - filled, n, m), dtype=np.uint8)
-        ranks = _kernels.rank_batch(cand, f.add_table, f.mul_table, f.inv_table, f.neg_table)
-        good = cand[ranks == target]
-        out[filled : filled + good.shape[0]] = good
-        filled += good.shape[0]
+    while (missing := count - filled) > 0:
+        cand = rng.integers(0, field.q, size=(math.ceil(1.1 * missing / accept) + 8, n, m), dtype=np.uint8)
+        good = cand[_kernels.rank_batch(cand, *tables) == target][:missing]
+        out[filled : filled + len(good)] = good
+        filled += len(good)
     return out
 
 

@@ -7,14 +7,14 @@ Runs batches of channel uses per input subspace u through
 draw.  It scores the empirical frequencies against the analytical transition
 law under the binomial model; a draw in a slot of zero mass is an
 off-support hit.  The pipeline reads only each use's rank deficiency, so it
-eliminates nothing.
+draws and eliminates nothing else.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
 is consumed in the fixed order ``channel._draw_uses`` defines: draws run in
-consecutive chunks of 65,536, and each chunk draws all its rank deficiencies,
-then all its basis selectors.  Nothing else is drawn: the transfer for
-deficiency d is the fixed diag(I_{h-d}, 0).
+consecutive chunks of 65,536; each chunk draws all its rank deficiencies, then for
+each d = 1..h-1 in order one full-rank batch, the kept selector rows of its uses of
+deficiency d.  Nothing else is drawn: the transfer for deficiency d is diag(I_{h-d}, 0).
 Identical (spec, draws, seed) therefore reproduce the identical report: all
 randomness is drawn through numpy Generators at the orchestration layer and
 the kernels are exact integer functions.
@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityReport, capacity_closed_form
-from .channel import ChannelSpec, RankDefDist, _draw_uses, build_dmc, channel_spec_to_dict, simulate_frame
-from .errors import InsufficientDataError, _check_int, _check_real
+from .channel import ChannelSpec, RankDefDist, _draw_deficiencies, build_dmc, channel_spec_to_dict, simulate_frame
+from .errors import InsufficientDataError, _check_int, _check_real, _check_type
 
 __all__ = [
     "McCell",
@@ -138,15 +138,14 @@ def empirical_capacity_pipeline(
     output dimensions, and compute capacity from the estimate.
 
     The output dimension of a use is h - d whatever the input, so no input
-    subspace is chosen and nothing is eliminated: the pipeline counts the
-    deficiencies of the seeded stream.  Each chunk's selectors are still
-    drawn, which keeps the next chunk's deficiencies those of that stream.
+    subspace is chosen and no selector row is drawn: the pipeline counts the
+    deficiencies of ``channel._draw_deficiencies`` on substream 0.
     """
+    _check_type("spec", spec, ChannelSpec)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
     log_base = _check_real("log base", log_base, above=1)
-    uses = _draw_uses(spec, draws, _substream(seed, 0))
-    counts = sum(np.bincount(defs, minlength=spec.h + 1) for defs, _selectors in uses)
+    counts = sum(np.bincount(d, minlength=spec.h + 1) for d in _draw_deficiencies(spec, draws, _substream(seed, 0)))
     est = RankDefDist(spec.h, counts / draws)
     report = PipelineReport(
         estimated_dist=est,

@@ -42,7 +42,6 @@ from subchan.errors import (
 from subchan.gf import GF
 from subchan.grassmann import (
     Subspace,
-    _random_ordered_bases,
     contains,
     count_ordered_bases,
     enumerate_grassmannian,
@@ -435,42 +434,61 @@ class TestSimulateUses:
         with pytest.raises(error):
             simulate_frame(self.SPEC, draws, np.random.default_rng(0))
 
-    def test_memory_beyond_the_outputs_does_not_grow_with_the_draw_count(self):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memory_beyond_the_outputs_does_not_grow_with_the_draw_count(self, seed):
         """The traced peak of one call is flat in the draw count: uses are
         tallied chunk by chunk into one count per slot.  200,000 and 800,000
-        draws both span more than two chunks."""
+        draws both span more than two chunks.  At this law a chunk's kept-row
+        batches hold about 16,384 uses, the count at which a kernel temporary
+        of 16 bytes per matrix reaches numpy's 256 KiB threshold for eliding
+        temporaries, so the peak must not depend on the side a batch falls on."""
         spec = ChannelSpec(GF(4), 5, 3, RankDefDist.uniform(3))
 
         def peak(draws):
-            return traced_peak(lambda: simulate_frame(spec, draws, np.random.default_rng(0)))
+            return traced_peak(lambda: simulate_frame(spec, draws, np.random.default_rng(seed)))
 
         peak(10)  # warm the lazily built field tables and Grassmannians
         assert peak(800_000) - peak(200_000) < 256 << 10
 
     @pytest.mark.parametrize("q", [2, 3, 4])
-    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("h", [1, 2, 3])
     def test_kept_selector_rows_are_independent(self, q, h):
-        """``simulate_frame`` eliminates only for 0 < d < h: it writes I_h for
-        d = 0 and the zero space for d = h.  That holds because a selector is
-        invertible, so its first h - d rows have rank h - d, and all h rows
-        reduce to I_h; checked here on one seeded chunk of the sampler."""
+        """The stream draws a use's h - d kept rows as a uniform full-rank
+        (h - d) x h matrix, in place of the first h - d rows of a uniform S
+        in GL(h, q).  Over all of GL(h, q), the first k rows hit each of the
+        N_k full-rank k x h matrices exactly |GL(h, q)| / N_k times, so the
+        two laws are equal.  At k = h all rows reduce to I_h, and k = 0 is
+        the zero space: ``simulate_frame`` draws nothing for d = 0 or d = h."""
         f = GF(q)
         tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
-        s = sample_full_rank_batch(f, h, h, 4096, np.random.default_rng(7))
-        for d in range(h + 1):
-            assert np.all(_kernels.rank_batch(s[:, : h - d], *tables) == h - d)
-        canon, ranks = _kernels.rref_batch(s, *tables)
-        assert np.all(ranks == h) and np.array_equal(canon, np.broadcast_to(np.eye(h, dtype=np.uint8), s.shape))
+        codes = np.arange(q ** (h * h))
+        mats = (codes[:, None] // q ** np.arange(h * h) % q).astype(np.uint8).reshape(-1, h, h)
+        group = mats[_kernels.rank_batch(mats, *tables) == h]
+        order = int(np.prod([q**h - q**i for i in range(h)]))
+        assert len(group) == order
+        for k in range(h + 1):
+            n_k = int(np.prod([q**h - q**i for i in range(k)]))
+            rows = group[:, :k]
+            assert np.all(_kernels.rank_batch(rows, *tables) == k)
+            keys = rows.reshape(order, k * h).astype(np.int64) @ q ** np.arange(k * h)
+            _keys, counts = np.unique(keys, return_counts=True)
+            assert len(counts) == n_k and np.all(counts == order // n_k)
+        canon, ranks = _kernels.rref_batch(group, *tables)
+        assert np.all(ranks == h) and np.array_equal(canon, np.broadcast_to(np.eye(h, dtype=np.uint8), group.shape))
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("T, h", [(4, 2), (5, 3)])
     def test_frame_is_the_papers_mechanism(self, q, T, h):
-        """On one seed, the literal mechanism (a uniform ordered basis of u,
-        rows from h - d on zeroed, then eliminated in F_q^T) puts each use
-        in a slot of u's support row, and the tally of ``simulate_frame`` on
-        the same seed counts exactly those slots.  A slot mislabelled within
-        a dimension block would pass every z-score of the MC; this pins it."""
+        """On one seed, the literal mechanism in F_q^T on the stream's own
+        draws (each use's deficiency d, then for each d = 1..h-1 one uniform
+        full-rank (h - d) x h matrix K per use of deficiency d) outputs the
+        row space of K B_u, eliminated in F_q^T: B_u itself at d = 0, the
+        zero space at d = h.  Each use lands in a slot of u's support row,
+        and the tally of ``simulate_frame`` on the same seed counts exactly
+        those slots.  A slot mislabelled within a dimension block would pass
+        every z-score of the MC; this pins it."""
         f, draws = GF(q), 3000
+        tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
         spec = ChannelSpec(f, T, h, RankDefDist.uniform(h))
         dmc = build_dmc(spec)
         alphabet, nnz = dmc.output_index, dmc.support.shape[1]
@@ -479,9 +497,13 @@ class TestSimulateUses:
             u = dmc.input_index[i]
             rng = np.random.default_rng(100 + i)
             defs = np.minimum(np.searchsorted(cdf, rng.random(draws), side="right"), h)
-            x = _random_ordered_bases(u, draws, rng)
-            x[np.arange(h) >= h - defs[:, None]] = 0
-            ref, dims = _kernels.rref_batch(x, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+            x = np.zeros((draws, h, T), dtype=np.uint8)
+            x[defs == 0] = u.basis.array
+            for d in range(1, h):
+                kept = sample_full_rank_batch(f, h - d, h, int(np.count_nonzero(defs == d)), rng)
+                basis = np.broadcast_to(u.basis.array, (len(kept), h, T))
+                x[defs == d, : h - d] = _kernels.matmul_batch(kept, basis, *tables[:2])
+            ref, dims = _kernels.rref_batch(x, *tables)
             assert np.array_equal(dims, h - defs)
             columns = np.empty(draws, dtype=np.int64)
             for d, block in enumerate(alphabet.blocks):

@@ -20,7 +20,7 @@ from subchan.capacity import (
     strongly_symmetric_capacity,
     symmetric_capacity_from_components,
 )
-from subchan.channel import ChannelSpec, RankDefDist, channel_spec_from_dict, estimate_rank_def_dist
+from subchan.channel import ChannelSpec, RankDefDist, build_dmc, channel_spec_from_dict, estimate_rank_def_dist
 from subchan.errors import (
     DistributionInvalidError,
     InvalidParameterError,
@@ -28,9 +28,12 @@ from subchan.errors import (
     _check_real,
 )
 from subchan.gf import GF
-from subchan.mc import empirical_capacity_pipeline
+from subchan.grassmann import span
+from subchan.matrix import Mat
+from subchan.mc import empirical_capacity_pipeline, run_mc
 
-SPEC = ChannelSpec(GF(2), 3, 2, RankDefDist(2, [0.5, 0.3, 0.2]))
+RD = RankDefDist(2, [0.5, 0.3, 0.2])
+SPEC = ChannelSpec(GF(2), 3, 2, RD)
 EYE = np.eye(2)
 RAGGED = [[0.5], [0.5, 0.0]]
 COMPLEX = [0.5 + 0j, 0.5]
@@ -72,6 +75,15 @@ CASES = {
     "spec_from_dict-list": (lambda: channel_spec_from_dict(["q", "T", "h", "rank_def"]), DistributionInvalidError),
     "estimate-None": (lambda: estimate_rank_def_dist(None, 1), InvalidParameterError),
     "estimate-int": (lambda: estimate_rank_def_dist(5, 1), InvalidParameterError),
+    "ChannelSpec-field-None": (lambda: ChannelSpec(None, 3, 2, RD), InvalidParameterError),
+    "ChannelSpec-field-int": (lambda: ChannelSpec(2, 3, 2, RD), InvalidParameterError),
+    "ChannelSpec-rank_def-list": (lambda: ChannelSpec(GF(2), 3, 2, [0.5, 0.3, 0.2]), InvalidParameterError),
+    "build_dmc-None": (lambda: build_dmc(None), InvalidParameterError),
+    "run_mc-None": (lambda: run_mc(None, 10, 0), InvalidParameterError),
+    "pipeline-None": (lambda: empirical_capacity_pipeline(None, 10, 0), InvalidParameterError),
+    "closed_form-None": (lambda: capacity_closed_form(None), InvalidParameterError),
+    "span-None": (lambda: span(None), InvalidParameterError),
+    "Mat-field-None": (lambda: Mat(None, [[1]]), InvalidParameterError),
 }
 
 

@@ -210,19 +210,19 @@ def test_blocks_do_not_reenter_the_public_kernels(monkeypatch, q):
 
 
 # sha256 of json.dumps(mc_report_to_dict(run_mc(spec, 2000, 1)), sort_keys=True):
-# the kernels must reproduce every seeded report bit for bit.  The three MC
-# digests were re-recorded when a channel use changed from a random transfer
-# G = A B to the fixed transfer diag(I, 0) after the random basis, which moved
-# the seeded stream; the table-driven and the bit-plane kernels both give them.
-# The pipeline digests below read only output dimensions and did not change.
-# A run of more than 65,536 draws per input spans several chunks of the
-# seeded stream; the 140,000-draw digest pins the order across them.
+# the kernels must reproduce every seeded report bit for bit.  The MC digests
+# were last re-recorded when the stream changed from a whole h x h selector
+# per use to the h - d kept rows of the uses with 0 < d < h, drawn per
+# deficiency with a margin of candidates; the table-driven and the bit-plane
+# kernels both give them.  A run of more than 65,536 draws per input spans
+# several chunks of the seeded stream; the 140,000-draw digest pins the
+# order across them.
 @pytest.mark.parametrize(
     "T, h, rank_def, digest, draws",
     [
-        (4, 2, (0.5, 0.3, 0.2), "2a6549e3170108cd2c72216c822f8f288fabec79aa4ae2e4b932fcee83a4e1e6", 2000),
-        (5, 3, (0.4, 0.3, 0.2, 0.1), "a8671bffaf613b057e237029c5a1bbb63c6eee5fec1e1caf29201a3bb63b8f7e", 2000),
-        (3, 2, (0.5, 0.3, 0.2), "dbf78d945d1e8828bb894696573f0a5fbf435c9ecb6992f214d0c4e91044c6fc", 140_000),
+        (4, 2, (0.5, 0.3, 0.2), "dac79e293f75765cdc4f6c9e348cf262d73e1c99f5006cc7d238deea3f7a3104", 2000),
+        (5, 3, (0.4, 0.3, 0.2, 0.1), "648a473cd3726fcd8abe8f3be1b3a0eac6a574a50f142f3c425c1b9c0ff3e428", 2000),
+        (3, 2, (0.5, 0.3, 0.2), "dd19edbbcac2107a55f0035801f27d04f504660dd18455c54a0049b03b236a60", 140_000),
     ],
 )
 def test_gf2_mc_report_golden_hash(T, h, rank_def, digest, draws):
@@ -231,24 +231,25 @@ def test_gf2_mc_report_golden_hash(T, h, rank_def, digest, draws):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# The GF(4) report, re-recorded with the two GF(2) digests above.
+# The GF(4) report, re-recorded with the GF(2) digests above.
 def test_gf4_mc_report_golden_hash():
     report = run_mc(ChannelSpec(GF(4), 3, 2, RankDefDist(2, (0.5, 0.3, 0.2))), 2000, 1)
     text = json.dumps(mc_report_to_dict(report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "da0e61123929dc71fbef4ab4b2bbf5954b0ead02aee3f5ccb412fff26bcc7f71"
+        "b38ee0a6f45fbff59b262d4493a7b7c3497c6658368d5fd3fa08e0c21c20078d"
     )
 
 
-# The 150,000-draw digest spans three chunks, with counts (37619, 37636,
-# 37406, 37339): each chunk's selectors are drawn, though the pipeline reads
-# only the deficiencies, so that the next chunk's deficiencies are unchanged.
+# The pipeline draws only deficiencies, so its stream is the first ``draws``
+# uniforms of substream 0.  The 20,000-draw digests fit in one chunk and did
+# not move when the kept rows stopped being drawn; the 150,000-draw digest
+# spans three chunks, with counts (37687, 37564, 37444, 37305).
 @pytest.mark.parametrize(
     "q, T, h, digest, draws",
     [
         (4, 5, 3, "9dc0793a4f0d012bdf8c712919ee378665d69cb79a1a73c88c93f1a42f119387", 20000),
         (8, 4, 2, "cf65e7a911d5154f266de6bfb1d800fb7c23f7b4daa2fc856e6ebdb7685d7188", 20000),
-        (4, 5, 3, "165697e95eb7e565e4090fa1036f4bc7be204d3f2255ca560ab17eaea22df66f", 150_000),
+        (4, 5, 3, "69e8eb1b3de93a7d40b18795739196cdbf9086c3461f0f1ea407f220ccc16ff8", 150_000),
     ],
 )
 def test_pipeline_report_golden_hash(q, T, h, digest, draws):

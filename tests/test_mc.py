@@ -158,7 +158,7 @@ class TestRunMcStructure:
         def fail(*args):
             raise AssertionError("drew channel uses before checking log_base")
 
-        monkeypatch.setattr(mc, "_draw_uses", fail)
+        monkeypatch.setattr(mc, "_draw_deficiencies", fail)
         with pytest.raises(InvalidParameterError, match="log base must be a finite number > 1"):
             empirical_capacity_pipeline(DELTA1, 10, 0, log_base)
 
@@ -221,25 +221,37 @@ class TestPipeline:
             empirical_capacity_pipeline(MIXED, 0, seed=0)
 
     def test_eliminates_nothing(self, monkeypatch):
-        """The pipeline reads only each use's deficiency: no kept rows are
-        reduced (the selector sampler's rank test is not an elimination of
-        kept rows, and stays)."""
+        """The pipeline reads only each use's deficiency: it draws no kept
+        rows, so neither the sampler's rank test nor any RREF runs."""
         calls = []
-        rref_batch = _kernels.rref_batch
-        monkeypatch.setattr(_kernels, "rref_batch", lambda *args: calls.append(1) or rref_batch(*args))
+        for name in ("rank_batch", "rref_batch"):
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(_kernels, name, lambda *args, _k=kernel: calls.append(1) or _k(*args))
         _est, report = empirical_capacity_pipeline(_spec([0.4, 0.3, 0.3], q=4, T=5, h=2), 500, seed=1)
         assert calls == [] and sum(report.deficiency_counts) == 500
 
-    def test_memory_does_not_grow_with_the_draw_count(self):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memory_does_not_grow_with_the_draw_count(self, seed):
         """200,000 and 800,000 draws both span more than two chunks; only a
-        chunk's deficiencies and selectors are held at a time."""
+        chunk's deficiencies are held at a time."""
         spec = _spec(RankDefDist.uniform(3).probs, q=4, T=5, h=3)
 
         def peak(draws):
-            return traced_peak(lambda: empirical_capacity_pipeline(spec, draws, seed=1))
+            return traced_peak(lambda: empirical_capacity_pipeline(spec, draws, seed=seed))
 
         peak(10)  # warm the lazily built field tables
         assert peak(800_000) - peak(200_000) < 256 << 10
+
+    def test_stream_is_the_first_uniforms_of_substream_0(self):
+        """150,000 draws span three chunks; their deficiencies are the first
+        150,000 uniforms of substream 0 through the cdf, with nothing drawn
+        between chunks."""
+        spec = _spec(RankDefDist.uniform(3).probs, q=4, T=5, h=3)
+        rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0,)))
+        defs = np.searchsorted(np.cumsum(spec.rank_def.probs), rng.random(150_000), side="right")
+        _est, report = empirical_capacity_pipeline(spec, 150_000, seed=1)
+        assert report.deficiency_counts == tuple(np.bincount(np.minimum(defs, 3), minlength=4).tolist())
+        assert report.deficiency_counts == (37687, 37564, 37444, 37305)
 
     def test_deterministic_given_seed(self):
         est1, rep1 = empirical_capacity_pipeline(MIXED, 5000, seed=9)
