@@ -50,7 +50,7 @@ from .errors import (
     ObservationOutOfRangeError,
     SubchanError,
 )
-from .gf import GF, FieldElement
+from .gf import GF
 from .grassmann import (
     DEFAULT_ENUM_CAP,
     GrassmannianIndex,

@@ -12,8 +12,8 @@ k = 1 is the packed GF(2) of M4RI (Albrecht, Bard and Hart, ACM TOMS 2010).
 Odd q and wider matrices use the table elimination.
 
 ``matmul`` and ``rref`` act on one matrix: each is a batch of one.  The
-plain-python loop kernels ``_matmul_batch_loops`` and
-``_eliminate_batch_loops`` are the reference the tests compare against.
+tests compare every kernel against plain-python reference loops kept in
+``tests/conftest.py``.
 
 All kernels take matrices as 2-D/3-D uint8 arrays of element encodings plus
 the field's operation tables (see gf.GF): ``add_t``/``mul_t`` are (q, q)
@@ -31,64 +31,6 @@ __all__ = ["BACKEND"]
 #: The kernels' implementation, recorded in benchmark results.
 BACKEND = "numpy"
 
-
-# ---------------------------------------------------------------------------
-# Loop implementations (the plain-python reference)
-# ---------------------------------------------------------------------------
-
-def _matmul_batch_loops(a, b, add_t, mul_t):
-    nmat, n, kk = a.shape
-    m = b.shape[2]
-    out = np.zeros((nmat, n, m), dtype=np.uint8)
-    for s in range(nmat):
-        for i in range(n):
-            for j in range(m):
-                acc = np.uint8(0)
-                for t in range(kk):
-                    acc = add_t[acc, mul_t[a[s, i, t], b[s, t, j]]]
-                out[s, i, j] = acc
-    return out
-
-
-def _eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, full):
-    """Gaussian elimination of each matrix; full=True reduces above pivots too."""
-    nmat, rows, cols = mats.shape
-    out = mats.copy()
-    ranks = np.empty(nmat, dtype=np.int64)
-    for s in range(nmat):
-        npiv = 0
-        for c in range(cols):
-            if npiv == rows:
-                break
-            sel = -1
-            for i in range(npiv, rows):
-                if out[s, i, c] != 0:
-                    sel = i
-                    break
-            if sel < 0:
-                continue
-            if sel != npiv:
-                for j in range(c, cols):
-                    tmp = out[s, npiv, j]
-                    out[s, npiv, j] = out[s, sel, j]
-                    out[s, sel, j] = tmp
-            inv = inv_t[out[s, npiv, c]]
-            if inv != 1:
-                for j in range(c, cols):
-                    out[s, npiv, j] = mul_t[inv, out[s, npiv, j]]
-            for i in range(0 if full else npiv + 1, rows):
-                if i != npiv and out[s, i, c] != 0:
-                    f = neg_t[out[s, i, c]]
-                    for j in range(c, cols):
-                        out[s, i, j] = add_t[out[s, i, j], mul_t[f, out[s, npiv, j]]]
-            npiv += 1
-        ranks[s] = npiv
-    return out, ranks
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy implementations
-# ---------------------------------------------------------------------------
 
 _BLOCK = 16384
 

@@ -163,13 +163,13 @@ def _positive_entries(channel) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     row-stochastic channel, and its number of inputs.
 
     A Dmc supplies them from its support index; any other channel is read as
-    a dense 2-D transition matrix (or an object with one in ``trans``).
+    a dense 2-D transition matrix.
     """
     if isinstance(channel, Dmc):
         rows, cols, vals = channel.triplets()
         n_inputs = channel.num_inputs
     else:
-        trans = _real_array("transition matrix", getattr(channel, "trans", channel), NotRowStochasticError, 2)
+        trans = _real_array("transition matrix", channel, NotRowStochasticError, 2)
         if not (trans.shape[0] >= 1 and np.all(trans >= 0)):
             raise NotRowStochasticError(f"transition matrix {trans.shape} has no rows or a negative or NaN entry")
         rows, cols = np.nonzero(trans)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -144,10 +144,6 @@ class ChannelSpec:
                 f"rank_def is over 0..{self.rank_def.h} but h = {self.h}"
             )
 
-    @property
-    def q(self) -> int:
-        return self.field.q
-
 
 def _spec_int(data: dict, key: str, minimum: int) -> int:
     value = data[key]
@@ -195,6 +191,8 @@ def channel_spec_to_dict(spec: ChannelSpec) -> dict:
 
 
 def _check_input_subspace(spec: ChannelSpec, u: Subspace) -> None:
+    _check_type("spec", spec, ChannelSpec)
+    _check_type("u", u, Subspace)
     if u.field != spec.field or u.ambient_dim != spec.T:
         raise DimensionMismatchError(
             f"input subspace lives in GF({u.field.q})^{u.ambient_dim}, "
@@ -215,18 +213,16 @@ def transition_prob(spec: ChannelSpec, u: Subspace, v: Subspace) -> float:
 
 def conditional_prob_given_rank(spec: ChannelSpec, u: Subspace, v: Subspace, rho: int) -> float:
     """Transition probability conditioned on the transfer matrix having rank
-    deficiency rho: uniform over the C(h, h-rho)_q subspaces of u of dimension
-    h - rho, zero elsewhere."""
+    deficiency rho: the law of the channel whose deficiency is always rho."""
+    _check_type("spec", spec, ChannelSpec)
     rho = _check_int("rho", rho, 0, maximum=spec.h)
-    _check_input_subspace(spec, u)
-    if v.dim != spec.h - rho or not contains(u, v):
-        return 0.0
-    return 1.0 / gaussian_coefficient(spec.h, spec.h - rho, spec.field.q)
+    return transition_prob(replace(spec, rank_def=RankDefDist.point_mass(spec.h, rho)), u, v)
 
 
 def alphabet_sizes(spec: ChannelSpec) -> tuple[int, int]:
     """Exact input/output alphabet sizes; raises EnumerationTooLargeError
     (naming both would-be sizes) when either exceeds the cap."""
+    _check_type("spec", spec, ChannelSpec)
     q, T, h = spec.field.q, spec.T, spec.h
     nx = gaussian_coefficient(T, h, q)
     ny = sum(gaussian_coefficient(T, d, q) for d in range(h + 1))
@@ -297,7 +293,8 @@ class Dmc:
     probability of output ``output_index.subspace_at(j)`` given input
     ``input_index[i]``) and ``support_by_dim`` (the boolean inclusion
     pattern of each dimension block) are read-only arrays built from the
-    index on first access.
+    index on first access.  Nothing in the package reads them; they serve
+    the benchmark harness and the tests.
     """
 
     spec: ChannelSpec
@@ -393,6 +390,7 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
 
 def _draw_deficiencies(spec: ChannelSpec, draws: int, rng: np.random.Generator):
     """The deficiencies of ``draws`` uses, per chunk of n <= 65,536: ``rng.random(n)`` through the cdf."""
+    _check_type("rng", rng, np.random.Generator)
     cdf = np.cumsum(spec.rank_def.probs)
     for start in range(0, draws, _CHUNK):
         yield np.minimum(np.searchsorted(cdf, rng.random(min(_CHUNK, draws - start)), side="right"), spec.h)
@@ -416,6 +414,7 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     ``subspaces_of_batch``); d = 0 outputs u (the last slot) and d = h the zero
     space (slot 0).  Memory is bounded by a chunk of ``_draw_uses``.
     """
+    _check_type("spec", spec, ChannelSpec)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
     tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
@@ -443,13 +442,18 @@ def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -
 class DmcComponent:
     """One strongly symmetric component sub-channel, selected with
     probability ``selection_prob`` when the transfer matrix has rank
-    deficiency ``rho``; outputs are the dimension h - rho subspaces."""
+    deficiency ``rho``; outputs are the dimension h - rho subspaces.
+
+    Row i of ``support`` lists the positions in ``output_index`` of the
+    C(h, h - rho)_q subspaces of input ``input_index[i]``; the row's law is
+    uniform over them, each with mass 1 / ``support.shape[1]``.
+    """
 
     rho: int
     selection_prob: float
     input_index: GrassmannianIndex
     output_index: GrassmannianIndex
-    trans: np.ndarray = dc_field(repr=False)
+    support: np.ndarray = dc_field(repr=False)
 
 
 def components(dmc: Dmc) -> list[DmcComponent]:
@@ -461,23 +465,17 @@ def components(dmc: Dmc) -> list[DmcComponent]:
     selection probability whenever that probability is nonzero, and stays
     well-defined when it is zero.
     """
-    spec = dmc.spec
-    h, q = spec.h, spec.field.q
-    out = []
-    for rho in range(h + 1):
-        d = h - rho
-        block = dmc.output_index.blocks[d]
-        value = 1.0 / gaussian_coefficient(h, d, q)
-        out.append(
-            DmcComponent(
-                rho=rho,
-                selection_prob=float(spec.rank_def.probs[rho]),
-                input_index=dmc.input_index,
-                output_index=block,
-                trans=_dense(dmc._block_columns(d), len(block), value, np.float64),
-            )
+    h = _check_type("dmc", dmc, Dmc).spec.h
+    return [
+        DmcComponent(
+            rho=rho,
+            selection_prob=float(dmc.spec.rank_def.probs[rho]),
+            input_index=dmc.input_index,
+            output_index=dmc.output_index.blocks[h - rho],
+            support=dmc._block_columns(h - rho),
         )
-    return out
+        for rho in range(h + 1)
+    ]
 
 
 def estimate_rank_def_dist(observations, h: int, kind: str = "deficiency") -> RankDefDist:
@@ -508,6 +506,7 @@ def estimate_rank_def_dist(observations, h: int, kind: str = "deficiency") -> Ra
 
 def _dmc_metadata(dmc: Dmc) -> dict:
     """The entries of ``dmc_to_dict`` other than the transitions."""
+    _check_type("dmc", dmc, Dmc)
     return {
         "format_version": 1,
         **channel_spec_to_dict(dmc.spec),
@@ -540,6 +539,7 @@ def dmc_to_json(dmc: Dmc, fileobj) -> None:
 def dmc_to_csv(dmc: Dmc, fileobj) -> None:
     """CSV export: header of output labels (canonical bases as q-ary digit
     strings, rows joined by '|'), then one probability row per input."""
+    _check_type("dmc", dmc, Dmc)
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input"] + dmc.output_index.labels())
     for label, row in zip(dmc.input_index.labels(), dmc._rows(repr)):

@@ -14,13 +14,11 @@ as the lookup tables consumed by the matrix kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import FieldMismatchError, NotPrimePowerError, _check_int
+from .errors import NotPrimePowerError, _check_int
 
-__all__ = ["GF", "FieldElement"]
+__all__ = ["GF"]
 
 MAX_FIELD_SIZE = 256
 
@@ -173,9 +171,6 @@ class GF:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
     def __eq__(self, other):
         return isinstance(other, GF) and other.q == self.q
 
@@ -185,48 +180,3 @@ class GF:
     def __repr__(self):
         return f"GF({self.q})"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of GF(q): an integer encoding plus its field.
-
-    Supports +, -, *, / against elements of the identical field; mixing
-    fields raises FieldMismatchError.
-    """
-
-    value: int
-    field: GF
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field._el(self.value))
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"cannot combine {self.field} and {other.field} elements")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, self.field.inv(other.value)), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self):
-        return self.value

@@ -32,7 +32,7 @@ from .errors import (
     _check_type,
 )
 from .gf import GF, _factor_prime_power
-from .matrix import Mat, rank, rref, sample_full_rank_batch
+from .matrix import Mat, matmul, rank, rref, sample_full_rank
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -122,6 +122,9 @@ class Subspace:
     basis: Mat = dc_field(repr=False)
 
     def __post_init__(self):
+        _check_type("field", self.field, GF)
+        _check_int("ambient_dim", self.ambient_dim, 0)
+        _check_type("basis", self.basis, Mat)
         if self.basis.field != self.field:
             raise AmbientMismatchError("basis field differs from subspace field")
         if self.basis.cols != self.ambient_dim:
@@ -185,15 +188,13 @@ def span(x: Mat) -> Subspace:
 
 def contains(u: Subspace, v: Subspace) -> bool:
     """True iff v is a subspace of u."""
+    _check_type("u", u, Subspace)
+    _check_type("v", v, Subspace)
     if u.field != v.field or u.ambient_dim != v.ambient_dim:
         raise AmbientMismatchError(
             f"subspaces live in different ambient spaces: "
             f"GF({u.field.q})^{u.ambient_dim} vs GF({v.field.q})^{v.ambient_dim}"
         )
-    if v.dim > u.dim:
-        return False
-    if v.dim == 0:
-        return True
     stacked = Mat(u.field, np.vstack([u.basis.array, v.basis.array]))
     return rank(stacked) == u.dim
 
@@ -287,6 +288,7 @@ def _enumerate_cached(field: GF, ambient_dim: int, dim: int) -> GrassmannianInde
 
 def enumerate_grassmannian(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
     """All dim-dimensional subspaces of F_q^ambient_dim, in canonical order."""
+    _check_type("field", field, GF)
     ambient_dim = _check_int("ambient_dim", ambient_dim, 0)
     dim = _check_int("dim", dim, 0)
     cap_val = resolve_enum_cap()
@@ -324,26 +326,16 @@ def subspaces_of_batch(field: GF, bases: np.ndarray, dim: int) -> np.ndarray:
 def enumerate_subspaces_of(u: Subspace, dim: int) -> list[Subspace]:
     """All dim-dimensional subspaces of u, via the Grassmannian of F_q^{dim u}
     mapped through u's canonical basis."""
-    if not 0 <= dim <= u.dim:
-        raise DimensionMismatchError(f"requested dimension {dim} outside [0, {u.dim}]")
+    _check_type("u", u, Subspace)
+    dim = _check_int("dim", dim, 0, DimensionMismatchError, maximum=u.dim)
     canon = subspaces_of_batch(u.field, u.basis.array[None], dim)
     return [Subspace(u.field, u.ambient_dim, Mat(u.field, c)) for c in canon]
 
 
-def _random_ordered_bases(u: Subspace, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count uniform draws over the ordered bases spanning u, as a
-    (count, dim u, T) array.
-
-    Left-multiplying the canonical basis by a uniform element of GL(h, q)
-    is uniform over all prod_{i=1}^h (q^h - q^{i-1}) ordered bases, because
-    the GL(h, q) action on ordered bases of u is simply transitive.
-    """
-    f, h = u.field, u.dim
-    selectors = sample_full_rank_batch(f, h, h, count, rng)
-    basis = np.broadcast_to(u.basis.array, (count, h, u.ambient_dim))
-    return _kernels.matmul_batch(selectors, basis, f.add_table, f.mul_table)
-
-
 def random_ordered_basis(u: Subspace, rng: np.random.Generator) -> Mat:
-    """Uniform draw over the ordered bases spanning u: a batch of one."""
-    return Mat(u.field, _random_ordered_bases(u, 1, rng)[0])
+    """Uniform draw over the ordered bases spanning u: a uniform element of
+    GL(dim u, q) times u's canonical basis.  This is uniform over all
+    prod_{i=1}^h (q^h - q^{i-1}) ordered bases, because the GL(h, q) action
+    on the ordered bases of u is simply transitive."""
+    _check_type("u", u, Subspace)
+    return matmul(sample_full_rank(u.field, u.dim, u.dim, rng), u.basis)

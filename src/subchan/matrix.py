@@ -92,14 +92,12 @@ class Mat:
         return f"Mat({self.field!r}, {self.array.tolist()})"
 
 
-def _check_same_field(a: Mat, b: Mat) -> None:
-    if a.field != b.field:
-        raise FieldMismatchError(f"operands over {a.field} and {b.field}")
-
-
 def matmul(g: Mat, x: Mat) -> Mat:
     """Matrix product over GF(q)."""
-    _check_same_field(g, x)
+    _check_type("g", g, Mat)
+    _check_type("x", x, Mat)
+    if g.field != x.field:
+        raise FieldMismatchError(f"operands over {g.field} and {x.field}")
     if g.cols != x.rows:
         raise DimensionMismatchError(f"cannot multiply {g.rows}x{g.cols} by {x.rows}x{x.cols}")
     f = g.field
@@ -109,13 +107,13 @@ def matmul(g: Mat, x: Mat) -> Mat:
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Unique reduced row echelon form and its pivot columns."""
-    f = m.field
+    f = _check_type("m", m, Mat).field
     r, piv = _kernels.rref(m.array, f.add_table, f.mul_table, f.inv_table, f.neg_table)
     return Mat(f, r), tuple(int(c) for c in piv)
 
 
 def rank(m: Mat) -> int:
-    f = m.field
+    f = _check_type("m", m, Mat).field
     ranks = _kernels.rank_batch(
         m.array[None, :, :], f.add_table, f.mul_table, f.inv_table, f.neg_table
     )
@@ -129,6 +127,7 @@ def sample_full_rank_batch(field: GF, n: int, m: int, count: int, rng: np.random
     ~0.288 at q = 2.  Each round draws 10% more than the missing count over a,
     plus 8, and keeps the first full-rank candidates in order, so a call almost
     always takes one round."""
+    _check_type("rng", rng, np.random.Generator)
     if n < 0 or m < 0:
         raise DimensionMismatchError("negative matrix dimension")
     out = np.zeros((count, n, m), dtype=np.uint8)

@@ -98,6 +98,14 @@ def matrices_by_rank(q: int, n: int, m: int) -> dict[int, list[np.ndarray]]:
     return groups
 
 
+def component_trans(comp) -> np.ndarray:
+    """The dense (|X|, |outputs|) float64 matrix of a ``DmcComponent``: mass
+    1 / (row width) at each of its ``support`` positions, zero elsewhere."""
+    out = np.zeros((len(comp.support), len(comp.output_index)))
+    out[np.arange(len(comp.support))[:, None], comp.support] = 1.0 / comp.support.shape[1]
+    return out
+
+
 # Critical values of the chi-square distribution at significance 0.001.
 CHI2_CRIT_P001 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458}
 
@@ -116,3 +124,55 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def matmul_batch_loops(a, b, add_t, mul_t):
+    """Reference for ``_kernels.matmul_batch``: each entry summed term by term with the tables."""
+    nmat, n, kk = a.shape
+    m = b.shape[2]
+    out = np.zeros((nmat, n, m), dtype=np.uint8)
+    for s in range(nmat):
+        for i in range(n):
+            for j in range(m):
+                acc = np.uint8(0)
+                for t in range(kk):
+                    acc = add_t[acc, mul_t[a[s, i, t], b[s, t, j]]]
+                out[s, i, j] = acc
+    return out
+
+
+def eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, full):
+    """Reference for ``_kernels._eliminate_batch``: Gaussian elimination of
+    each matrix, one entry at a time; full=True reduces above pivots too."""
+    nmat, rows, cols = mats.shape
+    out = mats.copy()
+    ranks = np.empty(nmat, dtype=np.int64)
+    for s in range(nmat):
+        npiv = 0
+        for c in range(cols):
+            if npiv == rows:
+                break
+            sel = -1
+            for i in range(npiv, rows):
+                if out[s, i, c] != 0:
+                    sel = i
+                    break
+            if sel < 0:
+                continue
+            if sel != npiv:
+                for j in range(c, cols):
+                    tmp = out[s, npiv, j]
+                    out[s, npiv, j] = out[s, sel, j]
+                    out[s, sel, j] = tmp
+            inv = inv_t[out[s, npiv, c]]
+            if inv != 1:
+                for j in range(c, cols):
+                    out[s, npiv, j] = mul_t[inv, out[s, npiv, j]]
+            for i in range(0 if full else npiv + 1, rows):
+                if i != npiv and out[s, i, c] != 0:
+                    f = neg_t[out[s, i, c]]
+                    for j in range(c, cols):
+                        out[s, i, j] = add_t[out[s, i, j], mul_t[f, out[s, npiv, j]]]
+            npiv += 1
+        ranks[s] = npiv
+    return out, ranks

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import matrices_by_rank
+from conftest import component_trans, matrices_by_rank
 from subchan.capacity import (
     blahut_arimoto,
     capacity_closed_form,
@@ -130,11 +130,11 @@ def test_criterion_3_uniformly_dispersive_and_strongly_symmetric_components():
             rows = np.sort(dmc.trans, axis=1)
             for i in range(1, rows.shape[0]):
                 assert np.array_equal(rows[0], rows[i])
-            for comp in components(dmc):
-                srows = np.sort(comp.trans, axis=1)
+            for comp in map(component_trans, components(dmc)):
+                srows = np.sort(comp, axis=1)
                 for i in range(1, srows.shape[0]):
                     assert np.array_equal(srows[0], srows[i])
-                scols = np.sort(comp.trans, axis=0)
+                scols = np.sort(comp, axis=0)
                 for j in range(1, scols.shape[1]):
                     assert np.array_equal(scols[:, 0], scols[:, j])
             cases += 1

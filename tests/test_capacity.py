@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import component_trans
 from subchan.capacity import (
     BaSolution,
     blahut_arimoto,
@@ -141,7 +142,8 @@ class TestStronglySymmetricCapacity:
 
     def test_matches_component_formula(self):
         comp = components(build_dmc(MIXED))[1]
-        value = strongly_symmetric_capacity(comp.trans[0], comp.trans.shape[1])
+        trans = component_trans(comp)
+        value = strongly_symmetric_capacity(trans[0], trans.shape[1])
         assert value == pytest.approx(component_capacity(2, 3, 2, 1), abs=1e-12)
 
     def test_rejects_non_probability_rows(self):

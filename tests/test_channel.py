@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CHI2_CRIT_P001, chi2_statistic, matrices_by_rank, traced_peak
-from subchan import _kernels
+from conftest import CHI2_CRIT_P001, chi2_statistic, component_trans, matrices_by_rank, traced_peak
+from subchan import _kernels, channel
 from subchan.capacity import blahut_arimoto, capacity_closed_form, mutual_information
 from subchan.channel import (
     ChannelSpec,
@@ -310,15 +310,20 @@ class TestBuildDmc:
             assert [v.dim for v in subspaces] == [d for d in range(3) for _ in range(sizes[d])]
             assert all(contains(u, v) for v in subspaces) and len(set(subspaces)) == len(subspaces)
 
-    def test_law_is_used_without_the_dense_views(self):
+    def test_law_is_used_without_the_dense_views(self, monkeypatch):
+        def no_dense(*args):
+            raise AssertionError("a dense array was built")
+
+        monkeypatch.setattr(channel, "_dense", no_dense)
         dmc = build_dmc(MIXED)
         mutual_information(dmc, np.full(7, 1 / 7))
         blahut_arimoto(dmc)
-        components(dmc)
+        comps = components(dmc)
         dmc_to_dict(dmc)
         dmc_to_json(dmc, io.StringIO())
         dmc_to_csv(dmc, io.StringIO())
         assert "trans" not in vars(dmc) and "support_by_dim" not in vars(dmc)
+        assert all(c.support.dtype == np.int64 and not hasattr(c, "trans") for c in comps)
 
     def test_enumeration_cap(self):
         spec = ChannelSpec(F2, 20, 10, RankDefDist.point_mass(10, 0))
@@ -334,29 +339,29 @@ class TestComponents:
         comp = components(dmc)[0]
         assert comp.rho == 0
         assert comp.selection_prob == MIXED.rank_def.probs[0]
-        assert np.array_equal(comp.trans, np.eye(7))
+        assert np.array_equal(component_trans(comp), np.eye(7))
 
     def test_full_deficiency_component_collapses_to_zero_space(self):
         comp = components(build_dmc(MIXED))[2]
         assert comp.rho == 2
-        assert comp.trans.shape == (7, 1)
-        assert np.all(comp.trans == 1.0)
+        assert component_trans(comp).shape == (7, 1)
+        assert np.all(component_trans(comp) == 1.0)
         assert comp.output_index[0] == Subspace.zero(F2, 3)
 
     def test_middle_component_uniform_over_three(self):
         comp = components(build_dmc(MIXED))[1]
-        assert comp.trans.shape == (7, 7)
-        for row in comp.trans:
+        assert component_trans(comp).shape == (7, 7)
+        for row in component_trans(comp):
             assert np.count_nonzero(row) == 3
             assert np.allclose(row[row > 0], 1 / 3)
 
     def test_rows_sum_to_one_and_strong_symmetry(self):
         for spec in (DELTA0, MIXED, _spec([0.25, 0.25, 0.25, 0.25], q=2, T=4, h=3)):
-            for comp in components(build_dmc(spec)):
-                assert np.max(np.abs(comp.trans.sum(axis=1) - 1.0)) < 1e-12
-                rows = np.sort(comp.trans, axis=1)
+            for comp in map(component_trans, components(build_dmc(spec))):
+                assert np.max(np.abs(comp.sum(axis=1) - 1.0)) < 1e-12
+                rows = np.sort(comp, axis=1)
                 assert all(np.array_equal(rows[0], rows[i]) for i in range(rows.shape[0]))
-                cols = np.sort(comp.trans, axis=0)
+                cols = np.sort(comp, axis=0)
                 assert all(
                     np.array_equal(cols[:, 0], cols[:, j]) for j in range(cols.shape[1])
                 )
@@ -369,7 +374,11 @@ class TestComponents:
             if sel > 0:
                 d = MIXED.h - comp.rho
                 block = dmc.trans[:, offsets[d] : offsets[d + 1]]
-                assert np.allclose(comp.trans, block / sel, rtol=0, atol=1e-15)
+                assert np.allclose(component_trans(comp), block / sel, rtol=0, atol=1e-15)
+
+    def test_components_hold_no_dense_block(self):
+        dmc = build_dmc(_spec([0.4, 0.3, 0.2, 0.1], q=2, T=6, h=3))
+        assert traced_peak(lambda: components(dmc)) < 1_000_000
 
 
 class TestSimulateOneUse:

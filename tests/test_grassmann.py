@@ -31,7 +31,6 @@ from subchan.grassmann import (
     GrassmannianIndex,
     Subspace,
     _enumerate_cached,
-    _random_ordered_bases,
     contains,
     count_ordered_bases,
     enumerate_grassmannian,
@@ -42,7 +41,7 @@ from subchan.grassmann import (
     subspace_label,
     subspaces_of_batch,
 )
-from subchan.matrix import Mat, matmul, rank
+from subchan.matrix import Mat, matmul, rank, sample_full_rank_batch
 
 F2 = GF(2)
 U = span(Mat.from_rows(F2, [[0, 1, 0], [1, 0, 0]]))
@@ -436,6 +435,15 @@ class TestEnumerateSubspacesOf:
                     assert (ranks == d).all(), (T, h, d)
 
 
+def _ordered_bases(u, count, rng):
+    """count draws, as one batch, of what ``random_ordered_basis`` computes:
+    a uniform GL(dim u, q) selector times u's canonical basis."""
+    f, h = u.field, u.dim
+    selectors = sample_full_rank_batch(f, h, h, count, rng)
+    basis = np.broadcast_to(u.basis.array, (count, h, u.ambient_dim))
+    return _kernels.matmul_batch(selectors, basis, f.add_table, f.mul_table)
+
+
 class TestRandomOrderedBasis:
     def test_span_is_identity_on_subspace(self):
         rng = np.random.default_rng(0)
@@ -464,7 +472,7 @@ class TestRandomOrderedBasis:
         assert len(bases) == count_ordered_bases(2, 2) == 6
         rng = np.random.default_rng(987)
         draws = 100_000
-        for arr in _random_ordered_bases(U, draws, rng):
+        for arr in _ordered_bases(U, draws, rng):
             bases[arr.tobytes()] += 1
         stat = chi2_statistic(list(bases.values()), [draws / 6] * 6)
         assert stat < CHI2_CRIT_P001[5]
@@ -473,7 +481,7 @@ class TestRandomOrderedBasis:
     def test_batch_of_one_is_the_batch_draw(self, u):
         for seed in range(5):
             one = random_ordered_basis(u, np.random.default_rng(seed))
-            assert np.array_equal(one.array, _random_ordered_bases(u, 1, np.random.default_rng(seed))[0])
+            assert np.array_equal(one.array, _ordered_bases(u, 1, np.random.default_rng(seed))[0])
 
 
 class TestSubspaceType:

@@ -7,6 +7,7 @@ malformed argument raises the documented SubchanError subclass: never a bare
 ValueError or TypeError, and never a silent result.
 """
 
+import io
 import math
 
 import numpy as np
@@ -20,7 +21,22 @@ from subchan.capacity import (
     strongly_symmetric_capacity,
     symmetric_capacity_from_components,
 )
-from subchan.channel import ChannelSpec, RankDefDist, build_dmc, channel_spec_from_dict, estimate_rank_def_dist
+from subchan.channel import (
+    ChannelSpec,
+    RankDefDist,
+    alphabet_sizes,
+    build_dmc,
+    channel_spec_from_dict,
+    components,
+    conditional_prob_given_rank,
+    dmc_to_csv,
+    dmc_to_dict,
+    dmc_to_json,
+    estimate_rank_def_dist,
+    simulate_frame,
+    simulate_one_use,
+    transition_prob,
+)
 from subchan.errors import (
     DistributionInvalidError,
     InvalidParameterError,
@@ -28,8 +44,15 @@ from subchan.errors import (
     _check_real,
 )
 from subchan.gf import GF
-from subchan.grassmann import span
-from subchan.matrix import Mat
+from subchan.grassmann import (
+    Subspace,
+    contains,
+    enumerate_grassmannian,
+    enumerate_subspaces_of,
+    random_ordered_basis,
+    span,
+)
+from subchan.matrix import Mat, matmul, rank, rref
 from subchan.mc import empirical_capacity_pipeline, run_mc
 
 RD = RankDefDist(2, [0.5, 0.3, 0.2])
@@ -37,6 +60,7 @@ SPEC = ChannelSpec(GF(2), 3, 2, RD)
 EYE = np.eye(2)
 RAGGED = [[0.5], [0.5, 0.0]]
 COMPLEX = [0.5 + 0j, 0.5]
+U = span(Mat(GF(2), [[1, 0, 0], [0, 1, 0]]))
 
 CASES = {
     "RankDefDist-str": (lambda: RankDefDist(1, ["a", "b"]), DistributionInvalidError),
@@ -84,6 +108,28 @@ CASES = {
     "closed_form-None": (lambda: capacity_closed_form(None), InvalidParameterError),
     "span-None": (lambda: span(None), InvalidParameterError),
     "Mat-field-None": (lambda: Mat(None, [[1]]), InvalidParameterError),
+    "simulate_frame-spec-None": (lambda: simulate_frame(None, 10, np.random.default_rng(0)), InvalidParameterError),
+    "simulate_frame-rng-None": (lambda: simulate_frame(SPEC, 10, None), InvalidParameterError),
+    "simulate_one_use-spec-None": (lambda: simulate_one_use(None, U, np.random.default_rng(0)), InvalidParameterError),
+    "simulate_one_use-u-None": (lambda: simulate_one_use(SPEC, None, np.random.default_rng(0)), InvalidParameterError),
+    "alphabet_sizes-None": (lambda: alphabet_sizes(None), InvalidParameterError),
+    "transition_prob-None": (lambda: transition_prob(None, U, U), InvalidParameterError),
+    "conditional_prob_given_rank-None": (lambda: conditional_prob_given_rank(None, U, U, 0), InvalidParameterError),
+    "components-dmc-None": (lambda: components(None), InvalidParameterError),
+    "dmc_to_dict-None": (lambda: dmc_to_dict(None), InvalidParameterError),
+    "dmc_to_json-None": (lambda: dmc_to_json(None, io.StringIO()), InvalidParameterError),
+    "dmc_to_csv-None": (lambda: dmc_to_csv(None, io.StringIO()), InvalidParameterError),
+    "Subspace-field-None": (lambda: Subspace(None, 3, U.basis), InvalidParameterError),
+    "Subspace-T-None": (lambda: Subspace(GF(2), None, U.basis), InvalidParameterError),
+    "Subspace-basis-None": (lambda: Subspace(GF(2), 3, None), InvalidParameterError),
+    "contains-None": (lambda: contains(U, None), InvalidParameterError),
+    "enumerate_subspaces_of-None": (lambda: enumerate_subspaces_of(None, 1), InvalidParameterError),
+    "random_ordered_basis-None": (lambda: random_ordered_basis(None, np.random.default_rng(0)), InvalidParameterError),
+    "random_ordered_basis-rng-None": (lambda: random_ordered_basis(U, None), InvalidParameterError),
+    "enumerate_grassmannian-field-None": (lambda: enumerate_grassmannian(None, 3, 1), InvalidParameterError),
+    "matmul-None": (lambda: matmul(None, U.basis), InvalidParameterError),
+    "rank-None": (lambda: rank(None), InvalidParameterError),
+    "rref-None": (lambda: rref(None), InvalidParameterError),
 }
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import eliminate_batch_loops, matmul_batch_loops
 from subchan import _kernels
 from subchan.channel import ChannelSpec, RankDefDist
 from subchan.gf import GF
@@ -27,14 +28,14 @@ def _random_mats(q, count, n, m, seed):
 
 
 def _ref_rref_batch(mats, add_t, mul_t, inv_t, neg_t):
-    return _kernels._eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, True)
+    return eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, True)
 
 
 def _ref_rank_batch(mats, add_t, mul_t, inv_t, neg_t):
-    return _kernels._eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, False)[1]
+    return eliminate_batch_loops(mats, add_t, mul_t, inv_t, neg_t, False)[1]
 
 
-_ref_matmul_batch = _kernels._matmul_batch_loops
+_ref_matmul_batch = matmul_batch_loops
 
 
 @pytest.mark.parametrize("q", FIELDS)
