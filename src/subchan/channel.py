@@ -45,6 +45,7 @@ from .gf import GF
 from .grassmann import (
     GrassmannianIndex,
     Subspace,
+    _check_enum_cap,
     contains,
     enumerate_grassmannian,
     gaussian_coefficient,
@@ -388,12 +389,24 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     return Dmc(spec, input_index, output_index, support, values, component)
 
 
+def _deficiencies(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The int64 count, for each uniform in ``x``, of the entries of the cdf
+    ``cumsum(probs)`` but its last that are <= it."""
+    defs = np.zeros(len(x), dtype=np.int64)
+    for c in np.cumsum(probs)[:-1].tolist():
+        defs += x >= c
+    return defs
+
+
 def _draw_deficiencies(spec: ChannelSpec, draws: int, rng: np.random.Generator):
-    """The deficiencies of ``draws`` uses, per chunk of n <= 65,536: ``rng.random(n)`` through the cdf."""
+    """The deficiencies of ``draws`` uses, per chunk of n <= 65,536 uniforms
+    ``rng.random(n)``: a use's deficiency is the count of entries of the cdf
+    ``cumsum(rank_def.probs)`` that are <= its uniform x.  The cdf is
+    monotone, so this equals ``searchsorted(cdf, x, side="right")`` clamped
+    to h; ``_deficiencies`` leaves out the cdf's last entry, which is the clamp."""
     _check_type("rng", rng, np.random.Generator)
-    cdf = np.cumsum(spec.rank_def.probs)
     for start in range(0, draws, _CHUNK):
-        yield np.minimum(np.searchsorted(cdf, rng.random(min(_CHUNK, draws - start)), side="right"), spec.h)
+        yield _deficiencies(spec.rank_def.probs, rng.random(min(_CHUNK, draws - start)))
 
 
 def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
@@ -403,6 +416,12 @@ def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
     f, h = spec.field, spec.h
     for defs in _draw_deficiencies(spec, draws, rng):
         yield defs, {d: sample_full_rank_batch(f, h - d, h, np.count_nonzero(defs == d), rng) for d in range(1, h)}
+
+
+@functools.lru_cache(maxsize=16)
+def _frame(field: GF, h: int) -> OutputAlphabet:
+    """The subspaces of F_q^h, the slots of a ``simulate_frame`` tally."""
+    return OutputAlphabet(tuple(enumerate_grassmannian(field, h, d) for d in range(h + 1)))
 
 
 def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -418,7 +437,9 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
     tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
-    frame = OutputAlphabet(tuple(enumerate_grassmannian(f, h, d) for d in range(h + 1)))
+    frame = _frame(f, h)
+    for d, block in enumerate(frame.blocks):
+        _check_enum_cap(f.q, h, d, len(block))
     tally = np.zeros(len(frame), dtype=np.int64)
     for defs, kept in _draw_uses(spec, draws, rng):
         tally[[0, -1]] += np.bincount(defs, minlength=h + 1)[[h, 0]]

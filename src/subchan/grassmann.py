@@ -286,18 +286,24 @@ def _enumerate_cached(field: GF, ambient_dim: int, dim: int) -> GrassmannianInde
     return GrassmannianIndex(field, ambient_dim, dim, np.concatenate(blocks))
 
 
+def _check_enum_cap(q: int, ambient_dim: int, dim: int, count: int) -> None:
+    """Raise EnumerationTooLargeError if P(F_q^ambient_dim, dim), of ``count``
+    subspaces, exceeds the enumeration cap in force now."""
+    cap_val = resolve_enum_cap()
+    if count > cap_val:
+        raise EnumerationTooLargeError(
+            f"P(F_{q}^{ambient_dim}, {dim}) has {count} subspaces, "
+            f"exceeding the enumeration cap {cap_val}"
+        )
+
+
 def enumerate_grassmannian(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
     """All dim-dimensional subspaces of F_q^ambient_dim, in canonical order."""
     _check_type("field", field, GF)
     ambient_dim = _check_int("ambient_dim", ambient_dim, 0)
     dim = _check_int("dim", dim, 0)
-    cap_val = resolve_enum_cap()
     count = gaussian_coefficient(ambient_dim, dim, field.q)
-    if count > cap_val:
-        raise EnumerationTooLargeError(
-            f"P(F_{field.q}^{ambient_dim}, {dim}) has {count} subspaces, "
-            f"exceeding the enumeration cap {cap_val}"
-        )
+    _check_enum_cap(field.q, ambient_dim, dim, count)
     index = _enumerate_cached(field, ambient_dim, dim)
     if len(index) != count:
         raise AssertionError(f"enumeration produced {len(index)} subspaces, expected {count}")

@@ -443,6 +443,40 @@ class TestSimulateUses:
         with pytest.raises(error):
             simulate_frame(self.SPEC, draws, np.random.default_rng(0))
 
+    def test_enumeration_cap_is_checked_on_every_call(self, monkeypatch):
+        """The frame of F_2^2 (blocks of 1, 3 and 1 subspaces) is built once;
+        a cap lowered after that call still stops the next one."""
+        simulate_frame(self.SPEC, 10, np.random.default_rng(0))
+        monkeypatch.setenv("SUBCHAN_ENUM_CAP", "2")
+        with pytest.raises(EnumerationTooLargeError, match=r"P\(F_2\^2, 1\) has 3 subspaces"):
+            simulate_frame(self.SPEC, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.5, 0.0, 0.25, 0.25],
+            [0.3, 0.0, 0.0, 0.7],
+            [1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.3, 0.7],
+            [0.1] * 10,
+        ],
+        ids=["zero-mass-class", "two-zero-mass-classes", "point-mass-0", "point-mass-h", "h1", "cdf-below-1"],
+    )
+    def test_deficiency_is_the_searchsorted_of_the_cdf_clamped_to_h(self, probs):
+        """At every cdf entry, the double just below it, 0 and the largest
+        double below 1, a use's deficiency is the clamped right-side
+        ``searchsorted`` of its uniform in the cdf."""
+        h = len(probs) - 1
+        rank_def = RankDefDist(h, probs)
+        cdf = np.cumsum(rank_def.probs)
+        if probs == [0.1] * 10:
+            assert cdf[-1] < 1.0  # the largest double below 1 is past the cdf
+        x = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        defs = channel._deficiencies(rank_def.probs, x)
+        assert defs.dtype == np.int64
+        assert np.array_equal(defs, np.minimum(np.searchsorted(cdf, x, side="right"), h))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_memory_beyond_the_outputs_does_not_grow_with_the_draw_count(self, seed):
         """The traced peak of one call is flat in the draw count: uses are
@@ -495,7 +529,8 @@ class TestSimulateUses:
         zero space at d = h.  Each use lands in a slot of u's support row,
         and the tally of ``simulate_frame`` on the same seed counts exactly
         those slots.  A slot mislabelled within a dimension block would pass
-        every z-score of the MC; this pins it."""
+        every z-score of the MC; this pins it.  The deficiencies are drawn
+        here with ``np.searchsorted``, independently of the package's draw."""
         f, draws = GF(q), 3000
         tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
         spec = ChannelSpec(f, T, h, RankDefDist.uniform(h))

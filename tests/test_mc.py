@@ -245,7 +245,8 @@ class TestPipeline:
     def test_stream_is_the_first_uniforms_of_substream_0(self):
         """150,000 draws span three chunks; their deficiencies are the first
         150,000 uniforms of substream 0 through the cdf, with nothing drawn
-        between chunks."""
+        between chunks.  ``np.searchsorted`` is the independent reference for
+        the package's draw."""
         spec = _spec(RankDefDist.uniform(3).probs, q=4, T=5, h=3)
         rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0,)))
         defs = np.searchsorted(np.cumsum(spec.rank_def.probs), rng.random(150_000), side="right")
