@@ -15,7 +15,8 @@ is consumed in the fixed order ``channel._draw_uses`` defines: draws run in
 consecutive chunks of 65,536; each chunk draws all its rank deficiencies, one uniform
 per use, whose deficiency is the count of cdf entries <= it (equal to
 ``searchsorted(cdf, x, side="right")`` clamped to h), then for each d = 1..h-1 in
-order one full-rank batch, the kept selector rows of its uses of deficiency d.  Nothing else is drawn: the transfer for deficiency d is diag(I_{h-d}, 0).
+order one full-rank batch, the kept selector rows of its uses of deficiency d.
+Nothing else is drawn: the transfer for deficiency d is diag(I_{h-d}, 0).
 Identical (spec, draws, seed) therefore reproduce the identical report: all
 randomness is drawn through numpy Generators at the orchestration layer and
 the kernels are exact integer functions.

@@ -471,7 +471,7 @@ class TestSimulateUses:
         rank_def = RankDefDist(h, probs)
         cdf = np.cumsum(rank_def.probs)
         if probs == [0.1] * 10:
-            assert cdf[-1] < 1.0  # the largest double below 1 is past the cdf
+            assert cdf[-1] < 1.0  # it ends at the largest double below 1
         x = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
         defs = channel._deficiencies(rank_def.probs, x)
         assert defs.dtype == np.int64
