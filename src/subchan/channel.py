@@ -389,33 +389,35 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     return Dmc(spec, input_index, output_index, support, values, component)
 
 
-def _deficiencies(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The int64 count, for each uniform in ``x``, of the entries of the cdf
-    ``cumsum(probs)`` but its last that are <= it."""
-    defs = np.zeros(len(x), dtype=np.int64)
-    for c in np.cumsum(probs)[:-1].tolist():
-        defs += x >= c
-    return defs
+def _deficiency_counts(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The int64 count, for each deficiency d = 0..h, of the uniforms in ``x``
+    whose deficiency is d: the count of entries of the cdf ``cumsum(probs)`` but
+    its last that are <= the uniform.  The uniforms at or past entry d - 1
+    less those at or past entry d are the count of d."""
+    at_or_past = [len(x)] + [np.count_nonzero(x >= c) for c in np.cumsum(probs)[:-1].tolist()] + [0]
+    return -np.diff(np.array(at_or_past, dtype=np.int64))
 
 
 def _draw_deficiencies(spec: ChannelSpec, draws: int, rng: np.random.Generator):
-    """The deficiencies of ``draws`` uses, per chunk of n <= 65,536 uniforms
-    ``rng.random(n)``: a use's deficiency is the count of entries of the cdf
-    ``cumsum(rank_def.probs)`` that are <= its uniform x.  The cdf is
-    monotone, so this equals ``searchsorted(cdf, x, side="right")`` clamped
-    to h; ``_deficiencies`` leaves out the cdf's last entry, which is the clamp."""
+    """The deficiency counts of ``draws`` uses, one (h + 1,) vector per chunk of
+    n <= 65,536 uniforms ``rng.random(n)``: a use's deficiency is the count of
+    entries of the cdf ``cumsum(rank_def.probs)`` that are <= its uniform x.  The
+    cdf is monotone, so this equals ``searchsorted(cdf, x, side="right")``
+    clamped to h; ``_deficiency_counts`` leaves out the cdf's last entry, which
+    is the clamp.  No use's own deficiency is kept."""
     _check_type("rng", rng, np.random.Generator)
     for start in range(0, draws, _CHUNK):
-        yield _deficiencies(spec.rank_def.probs, rng.random(min(_CHUNK, draws - start)))
+        yield _deficiency_counts(spec.rank_def.probs, rng.random(min(_CHUNK, draws - start)))
 
 
 def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
-    """The seeded stream of ``draws`` uses, per chunk ``(defs, kept)``: its deficiencies, then
-    for each d = 1..h-1 in order ``kept[d]``, the kept selector rows of its uses of deficiency d
-    as a uniform full-rank (count_d, h - d, h) batch.  Nothing is drawn for d = 0 or d = h."""
+    """The seeded stream of ``draws`` uses, per chunk ``(counts, kept)``: the count of its uses
+    of each deficiency, then for each d = 1..h-1 in order ``kept[d]``, the kept selector rows of
+    its ``counts[d]`` uses of deficiency d as a uniform full-rank (counts[d], h - d, h) batch.
+    Nothing is drawn for d = 0 or d = h."""
     f, h = spec.field, spec.h
-    for defs in _draw_deficiencies(spec, draws, rng):
-        yield defs, {d: sample_full_rank_batch(f, h - d, h, np.count_nonzero(defs == d), rng) for d in range(1, h)}
+    for counts in _draw_deficiencies(spec, draws, rng):
+        yield counts, {d: sample_full_rank_batch(f, h - d, h, counts[d], rng) for d in range(1, h)}
 
 
 @functools.lru_cache(maxsize=16)
@@ -431,7 +433,8 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     A use of deficiency 0 < d < h outputs R B_u, R the RREF of its kept rows,
     and its slot is R's position among the subspaces of F_q^h (the order of
     ``subspaces_of_batch``); d = 0 outputs u (the last slot) and d = h the zero
-    space (slot 0).  Memory is bounded by a chunk of ``_draw_uses``.
+    space (slot 0).  A chunk of ``_draw_uses`` yields counts, so the slots of
+    d = 0 and d = h take its counts; memory is bounded by one chunk.
     """
     _check_type("spec", spec, ChannelSpec)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
@@ -441,8 +444,8 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     for d, block in enumerate(frame.blocks):
         _check_enum_cap(f.q, h, d, len(block))
     tally = np.zeros(len(frame), dtype=np.int64)
-    for defs, kept in _draw_uses(spec, draws, rng):
-        tally[[0, -1]] += np.bincount(defs, minlength=h + 1)[[h, 0]]
+    for counts, kept in _draw_uses(spec, draws, rng):
+        tally[[0, -1]] += counts[[h, 0]]
         for d, rows in kept.items():
             canon = _kernels.rref_batch(rows, *tables)[0]
             lo, hi = frame.offsets[h - d : h - d + 2]
@@ -451,11 +454,13 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One channel use of input u, from one draw of ``_draw_uses``: the span of
-    ``kept[d]`` B_u, or of I_h B_u = u at d = 0 and of no row at d = h."""
+    """One channel use of input u, from one draw of ``_draw_uses``: d is the one
+    nonzero count, and the output the span of ``kept[d]`` B_u, or of I_h B_u = u
+    at d = 0 and of no row at d = h."""
     _check_input_subspace(spec, u)
-    ((defs, kept),) = _draw_uses(spec, 1, rng)
-    rows = kept.get(defs[0], np.eye(spec.h, dtype=np.uint8)[None, : spec.h - defs[0]])[0]
+    ((counts, kept),) = _draw_uses(spec, 1, rng)
+    d = int(counts.argmax())
+    rows = kept.get(d, np.eye(spec.h, dtype=np.uint8)[None, : spec.h - d])[0]
     return span(matmul(Mat(spec.field, rows), u.basis))
 
 

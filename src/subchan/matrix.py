@@ -139,7 +139,7 @@ def sample_full_rank_batch(field: GF, n: int, m: int, count: int, rng: np.random
     filled = 0
     while (missing := count - filled) > 0:
         cand = rng.integers(0, field.q, size=(math.ceil(1.1 * missing / accept) + 8, n, m), dtype=np.uint8)
-        good = cand[_kernels.rank_batch(cand, *tables) == target][:missing]
+        good = np.compress(_kernels.rank_batch(cand, *tables) == target, cand, axis=0)[:missing]
         out[filled : filled + len(good)] = good
         filled += len(good)
     return out

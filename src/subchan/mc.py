@@ -6,16 +6,17 @@ Runs batches of channel uses per input subspace u through
 ``Dmc.support``, so the harness holds one tally per input and nothing per
 draw.  It scores the empirical frequencies against the analytical transition
 law under the binomial model; a draw in a slot of zero mass is an
-off-support hit.  The pipeline reads only each use's rank deficiency, so it
-draws and eliminates nothing else.
+off-support hit.  The pipeline reads only how many uses have each rank
+deficiency, so it draws and eliminates nothing else.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
 is consumed in the fixed order ``channel._draw_uses`` defines: draws run in
-consecutive chunks of 65,536; each chunk draws all its rank deficiencies, one uniform
-per use, whose deficiency is the count of cdf entries <= it (equal to
-``searchsorted(cdf, x, side="right")`` clamped to h), then for each d = 1..h-1 in
-order one full-rank batch, the kept selector rows of its uses of deficiency d.
+consecutive chunks of 65,536; each chunk draws one uniform per use, whose
+deficiency is the count of cdf entries <= it (equal to
+``searchsorted(cdf, x, side="right")`` clamped to h), and keeps only the count of
+its uses of each deficiency; then for each d = 1..h-1 in order it draws one
+full-rank batch, the kept selector rows of its uses of deficiency d.
 Nothing else is drawn: the transfer for deficiency d is diag(I_{h-d}, 0).
 Identical (spec, draws, seed) therefore reproduce the identical report: all
 randomness is drawn through numpy Generators at the orchestration layer and
@@ -140,14 +141,14 @@ def empirical_capacity_pipeline(
     output dimensions, and compute capacity from the estimate.
 
     The output dimension of a use is h - d whatever the input, so no input
-    subspace is chosen and no selector row is drawn: the pipeline counts the
-    deficiencies of ``channel._draw_deficiencies`` on substream 0.
+    subspace is chosen and no selector row is drawn: the pipeline sums the
+    per-chunk deficiency counts of ``channel._draw_deficiencies`` on substream 0.
     """
     _check_type("spec", spec, ChannelSpec)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
     log_base = _check_real("log base", log_base, above=1)
-    counts = sum(np.bincount(d, minlength=spec.h + 1) for d in _draw_deficiencies(spec, draws, _substream(seed, 0)))
+    counts = sum(_draw_deficiencies(spec, draws, _substream(seed, 0)))
     est = RankDefDist(spec.h, counts / draws)
     report = PipelineReport(
         estimated_dist=est,

@@ -410,6 +410,15 @@ class TestSimulateOneUse:
         with pytest.raises(DimensionMismatchError):
             simulate_one_use(DELTA0, V100, np.random.default_rng(0))
 
+    def test_outputs_of_seeds_0_to_199_are_pinned(self):
+        """sha256 of the newline-joined ``subspace_label`` of one use per
+        seed, recorded while each chunk still built a deficiency per use:
+        reading d from a one-draw count vector keeps every output."""
+        labels = [subspace_label(simulate_one_use(MIXED, U, np.random.default_rng(s))) for s in range(200)]
+        assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == (
+            "ba19769d9edb02da751b9323e09f98cf8acd9ed7222cfe1a4344800d086662f0"
+        )
+
 
 class TestSimulateUses:
     """Channel-use simulation: ``simulate_frame`` draws uses in the input's
@@ -465,17 +474,18 @@ class TestSimulateUses:
     )
     def test_deficiency_is_the_searchsorted_of_the_cdf_clamped_to_h(self, probs):
         """At every cdf entry, the double just below it, 0 and the largest
-        double below 1, a use's deficiency is the clamped right-side
-        ``searchsorted`` of its uniform in the cdf."""
+        double below 1, the count of each deficiency is the ``bincount`` of
+        the clamped right-side ``searchsorted`` of the uniforms in the cdf."""
         h = len(probs) - 1
         rank_def = RankDefDist(h, probs)
         cdf = np.cumsum(rank_def.probs)
         if probs == [0.1] * 10:
             assert cdf[-1] < 1.0  # it ends at the largest double below 1
         x = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-        defs = channel._deficiencies(rank_def.probs, x)
-        assert defs.dtype == np.int64
-        assert np.array_equal(defs, np.minimum(np.searchsorted(cdf, x, side="right"), h))
+        counts = channel._deficiency_counts(rank_def.probs, x)
+        assert counts.dtype == np.int64
+        defs = np.minimum(np.searchsorted(cdf, x, side="right"), h)
+        assert np.array_equal(counts, np.bincount(defs, minlength=h + 1))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_memory_beyond_the_outputs_does_not_grow_with_the_draw_count(self, seed):

@@ -233,7 +233,9 @@ class TestPipeline:
     @pytest.mark.parametrize("seed", range(4))
     def test_memory_does_not_grow_with_the_draw_count(self, seed):
         """200,000 and 800,000 draws both span more than two chunks; only a
-        chunk's deficiencies are held at a time."""
+        chunk's uniforms and its deficiency counts are held at a time.  One
+        chunk of float64 uniforms is 512 KiB, so a per-use deficiency array
+        next to it would cross 1 MiB."""
         spec = _spec(RankDefDist.uniform(3).probs, q=4, T=5, h=3)
 
         def peak(draws):
@@ -241,6 +243,7 @@ class TestPipeline:
 
         peak(10)  # warm the lazily built field tables
         assert peak(800_000) - peak(200_000) < 256 << 10
+        assert peak(800_000) < 1 << 20
 
     def test_stream_is_the_first_uniforms_of_substream_0(self):
         """150,000 draws span three chunks; their deficiencies are the first
