@@ -30,7 +30,6 @@ from .channel import (
     components,
     conditional_prob_given_rank,
     dmc_to_csv,
-    dmc_to_dict,
     dmc_to_json,
     estimate_rank_def_dist,
     simulate_one_use,

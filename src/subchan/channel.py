@@ -32,7 +32,6 @@ from . import _kernels
 from .errors import (
     DimensionMismatchError,
     DistributionInvalidError,
-    EnumerationTooLargeError,
     InsufficientDataError,
     InvalidParameterError,
     ObservationOutOfRangeError,
@@ -49,7 +48,6 @@ from .grassmann import (
     contains,
     enumerate_grassmannian,
     gaussian_coefficient,
-    resolve_enum_cap,
     span,
     subspaces_of_batch,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "components",
     "conditional_prob_given_rank",
     "dmc_to_csv",
-    "dmc_to_dict",
     "dmc_to_json",
     "estimate_rank_def_dist",
     "simulate_frame",
@@ -227,11 +224,7 @@ def alphabet_sizes(spec: ChannelSpec) -> tuple[int, int]:
     q, T, h = spec.field.q, spec.T, spec.h
     nx = gaussian_coefficient(T, h, q)
     ny = sum(gaussian_coefficient(T, d, q) for d in range(h + 1))
-    cap_val = resolve_enum_cap()
-    if nx > cap_val or ny > cap_val:
-        raise EnumerationTooLargeError(
-            f"alphabet sizes |X| = {nx}, |Y| = {ny} exceed the enumeration cap {cap_val}"
-        )
+    _check_enum_cap("alphabet sizes |X| = {}, |Y| = {}", nx, ny)
     return nx, ny
 
 
@@ -241,8 +234,7 @@ class OutputAlphabet:
 
     def __init__(self, blocks: tuple[GrassmannianIndex, ...]):
         self.blocks = blocks
-        sizes = [len(b) for b in blocks]
-        self.offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)]))
+        self.offsets = tuple(np.cumsum([0] + [len(b) for b in blocks]).tolist())
 
     def __len__(self) -> int:
         return self.offsets[-1]
@@ -442,7 +434,7 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
     frame = _frame(f, h)
     for d, block in enumerate(frame.blocks):
-        _check_enum_cap(f.q, h, d, len(block))
+        _check_enum_cap(f"P(F_{f.q}^{h}, {d}) has {{}} subspaces", len(block))
     tally = np.zeros(len(frame), dtype=np.int64)
     for counts, kept in _draw_uses(spec, draws, rng):
         tally[[0, -1]] += counts[[h, 0]]
@@ -531,7 +523,7 @@ def estimate_rank_def_dist(observations, h: int, kind: str = "deficiency") -> Ra
 
 
 def _dmc_metadata(dmc: Dmc) -> dict:
-    """The entries of ``dmc_to_dict`` other than the transitions."""
+    """The entries of the JSON export other than the transitions."""
     _check_type("dmc", dmc, Dmc)
     return {
         "format_version": 1,
@@ -542,15 +534,11 @@ def _dmc_metadata(dmc: Dmc) -> dict:
     }
 
 
-def dmc_to_dict(dmc: Dmc) -> dict:
-    """JSON-ready transition matrix with alphabet metadata embedded."""
-    return {**_dmc_metadata(dmc), "transitions": list(dmc._rows(float))}
-
-
 def dmc_to_json(dmc: Dmc, fileobj) -> None:
-    """JSON export of ``dmc_to_dict``: the text of ``json.dumps(indent=2,
-    sort_keys=True)`` and a newline, written one input row at a time.  The
-    law's values are finite, and json writes a finite float as its repr."""
+    """JSON export: the text of ``json.dumps(indent=2, sort_keys=True)`` and a
+    newline for ``_dmc_metadata`` with "transitions", the list of dense rows,
+    written one input row at a time.  The law's values are finite, and json
+    writes a finite float as its repr."""
     import json  # imported on use: `import subchan` loads no json
 
     head = json.dumps({**_dmc_metadata(dmc), "transitions": []}, indent=2, sort_keys=True)

@@ -35,7 +35,7 @@ from .channel import (
     dmc_to_json,
 )
 from .errors import _SUM_TOLERANCE, NonConvergenceError, SubchanError, _check_real
-from .grassmann import count_ordered_bases, gaussian_coefficient
+from .grassmann import _size_text, count_ordered_bases, gaussian_coefficient
 from .mc import empirical_capacity_pipeline, mc_report_to_csv, mc_report_to_dict, run_mc
 
 __all__ = ["main"]
@@ -220,8 +220,11 @@ def cmd_count(args, parser) -> int:
         value = gaussian_coefficient(args.n, args.l, args.q)
     else:
         value = count_ordered_bases(args.h, args.q)
+    text = _size_text(value)
+    if not text.isdigit():
+        raise SubchanError(f"the count is {text}, more digits than Python writes as text")
     with _output(args.out) as fh:
-        fh.write(f"{value}\n")
+        fh.write(f"{text}\n")
     return 0
 
 

@@ -130,24 +130,6 @@ class GF:
         for arr in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
             arr.setflags(write=False)
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        """Digit-level product mod the reduction polynomial (reference)."""
-        p, k = self.p, self.k
-        if k == 1:
-            return a * b % p
-        da = [(a // p**i) % p for i in range(k)]
-        db = [(b // p**i) % p for i in range(k)]
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(da):
-            for j, bj in enumerate(db):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                for i in range(k + 1):
-                    prod[d - k + i] = (prod[d - k + i] - c * self.reduction_poly[i]) % p
-        return sum(c * p**i for i, c in enumerate(prod[:k]))
-
     # Scalar operations on raw integer encodings.
 
     def _el(self, a) -> int:

@@ -7,16 +7,17 @@ subspace hashes in O(1).  The zero-dimensional space O is the empty basis.
 Enumeration order is part of the public contract: pivot column sets (one
 Schubert cell each) in lexicographic order, and within a cell the free
 entries counted like an odometer (row-major positions, the last fastest).
-Each cell is filled as one array block; an alphabet is its stacked bases,
-and a ``Subspace`` is built only for an element that is accessed.  Indices
-are stable across runs and platforms; ``GrassmannianIndex.indices`` maps a
-stack of canonical bases to them in one call, ``index_of`` is its batch of one.
+The cells are filled from one table, which ``GrassmannianIndex.indices``
+inverts in closed form; an alphabet is its stacked bases, and a ``Subspace``
+is built only for an element that is accessed.  Indices are stable across
+runs and platforms; ``index_of`` is a batch of one of ``indices``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -202,23 +203,27 @@ def contains(u: Subspace, v: Subspace) -> bool:
 class GrassmannianIndex:
     """Deterministic bijection between [0, |P(F_q^T, ell)|) and subspaces.
 
-    ``bases`` (size, ell, T), read-only, stacks the distinct canonical bases,
-    checked at construction; ``indices`` maps such stacks to positions by a
-    binary search over the sorted bytes of the bases, and ``labels``
-    serializes them.  Indexing, and so iteration, builds a ``Subspace``.
+    ``bases`` (size, ell, T), read-only, stacks the canonical bases in
+    enumeration order, checked at construction; ``indices`` maps such stacks
+    to positions, and ``labels`` serializes them.  Indexing, and so
+    iteration, builds a ``Subspace``.
     """
 
     def __init__(self, field: GF, ambient_dim: int, dim: int, bases: np.ndarray):
         self.field, self.ambient_dim, self.dim = field, ambient_dim, dim
         self.bases = np.ascontiguousarray(bases, dtype=np.uint8)
         self.bases.setflags(write=False)
-        keys = _keys(self.bases)
-        self._order = np.argsort(keys)
-        self._sorted = keys[self._order]
+        _, lex, self._offsets, weights = _schubert_cells(field.q, ambient_dim, dim)
+        self._lex, self._weights = lex.ravel(), weights.reshape(len(weights), dim * ambient_dim)
         canon, ranks = _kernels.rref_batch(self.bases, field.add_table, field.mul_table, field.inv_table, field.neg_table)
-        repeated = (self._sorted[1:] == self._sorted[:-1]).any()
-        if repeated or (ranks != dim).any() or not np.array_equal(canon, self.bases):
-            raise InvalidParameterError(f"bases of P(F_{field.q}^{ambient_dim}, {dim}) are not distinct RREF bases")
+        # indices inverts the enumeration: RREF bases are distinct and in
+        # enumeration order exactly when each one ranks at its own position.
+        try:
+            in_order = np.array_equal(self.indices(self.bases), np.arange(len(self)))
+        except KeyError:
+            in_order = False
+        if (ranks != dim).any() or not np.array_equal(canon, self.bases) or not in_order:
+            raise InvalidParameterError(f"bases of P(F_{field.q}^{ambient_dim}, {dim}) are not its RREF bases in order")
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -237,16 +242,27 @@ class GrassmannianIndex:
 
     def indices(self, canon: np.ndarray) -> np.ndarray:
         """Positions of a (n, dim, T) stack of canonical RREF bases over this
-        index's field.  The field is not checked: bases are plain arrays."""
+        index's field, ranked by ``_schubert_cells`` in blocks of
+        ``_kernels._BLOCK``; a basis unequal to the one at its rank raises
+        KeyError.  The field is not checked: bases are plain arrays."""
         canon = np.ascontiguousarray(canon, dtype=np.uint8)
-        if canon.shape[1:] != (self.dim, self.ambient_dim):
+        if canon.shape[1:] != (self.dim, self.ambient_dim) or (len(canon) and not len(self)):
             raise self._missing()
-        keys = _keys(canon)
-        at = np.searchsorted(self._sorted, keys)
-        # A key above the last sorted one is clipped onto it and so compares unequal.
-        if len(keys) and not (len(self) and np.array_equal(self._sorted.take(at, mode="clip"), keys)):
-            raise self._missing()
-        return self._order[at]
+        out = np.empty(len(canon), dtype=np.int64)
+        for s in range(0, len(canon), _kernels._BLOCK):
+            block = canon[s : s + _kernels._BLOCK]
+            # Each row's first nonzero column (argmax has no zero-width axis).
+            pivots = (block != 0).argmax(axis=2) if self.ambient_dim else np.zeros(block.shape[:2], dtype=np.int64)
+            lex = self._lex.take(pivots + self.ambient_dim * np.arange(self.dim))
+            cell = len(self._weights) - 1 - np.einsum("ij->i", lex)
+            # A non-member can rank outside the table or the stack: clipping keeps
+            # each gather in bounds, and the comparison below rejects it.
+            weights = self._weights.take(cell, axis=0, mode="clip")
+            entries = block.reshape(len(block), weights.shape[1])
+            out[s : s + len(block)] = ranks = self._offsets.take(cell, mode="clip") + np.einsum("ij,ij->i", weights, entries)
+            if not np.array_equal(self.bases.take(ranks, axis=0, mode="clip"), block):
+                raise self._missing()
+        return out
 
     def index_of(self, s: Subspace) -> int:
         if s.field != self.field:
@@ -254,47 +270,58 @@ class GrassmannianIndex:
         return int(self.indices(s.basis.array[None])[0])
 
     def __repr__(self):
-        return (
-            f"GrassmannianIndex(GF({self.field.q}), T={self.ambient_dim}, "
-            f"dim={self.dim}, size={len(self)})"
-        )
+        return f"GrassmannianIndex(GF({self.field.q}), T={self.ambient_dim}, dim={self.dim}, size={len(self)})"
 
 
-def _keys(canon: np.ndarray) -> np.ndarray:
-    """Each basis of a contiguous (n, dim, T) uint8 stack as one void scalar of
-    its bytes, a view; void keys compare and sort as unsigned byte strings."""
-    width = canon.shape[1] * canon.shape[2]
-    if width == 0:  # a zero-width void view would hold no elements
-        return np.zeros(len(canon), dtype="V1")
-    return canon.reshape(len(canon), width).view(np.dtype((np.void, width))).ravel()
+@functools.lru_cache(maxsize=64)
+def _schubert_cells(q: int, ambient_dim: int, dim: int):
+    """P(F_q^T, dim) by Schubert cell, the pivot tuples in lexicographic order:
+    the tuples; lex (dim, T); the cells' first positions and the total; and
+    (cells, dim, T) int64 weights, q^(free positions after) at each free
+    position and 0 elsewhere.  A basis ranks at its cell's first position plus
+    its entries times the weights, and a cell at cells - 1 minus the sum over
+    its pivots c_i of lex[i, c_i] = C(T - 1 - c_i, dim - i) (the combinatorial
+    number system), clipped to the cell count to bound it at any pivots."""
+    cells = list(itertools.combinations(range(ambient_dim), dim))
+    weights = np.zeros((len(cells), dim, ambient_dim), dtype=np.int64)
+    for w, pivots in zip(weights, cells):
+        # A free entry lies right of its row's pivot, in no pivot column.
+        free = [(i, c) for i in range(dim) for c in range(pivots[i] + 1, ambient_dim) if c not in pivots]
+        for j, (i, c) in enumerate(reversed(free)):
+            w[i, c] = q**j
+    lex = [[min(math.comb(ambient_dim - 1 - c, dim - i), len(cells)) for c in range(ambient_dim)] for i in range(dim)]
+    offsets = np.cumsum([0, *q ** np.count_nonzero(weights, axis=(1, 2))], dtype=np.int64)
+    return cells, np.array(lex, dtype=np.int64).reshape(dim, ambient_dim), offsets, weights
 
 
 @functools.lru_cache(maxsize=64)
 def _enumerate_cached(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
-    blocks = [np.zeros((0, dim, ambient_dim), dtype=np.uint8)]
-    for pivots in itertools.combinations(range(ambient_dim), dim):
-        free = [(i, c) for i in range(dim) for c in range(pivots[i] + 1, ambient_dim) if c not in pivots]
-        block = np.zeros((field.q ** len(free), dim, ambient_dim), dtype=np.uint8)
+    cells, _, offsets, weights = _schubert_cells(field.q, ambient_dim, dim)
+    bases = np.zeros((offsets[-1], dim, ambient_dim), dtype=np.uint8)
+    for pivots, w, start, stop in zip(cells, weights, offsets[:-1], offsets[1:]):
+        block = bases[start:stop]
         block[:, np.arange(dim), list(pivots)] = 1
-        # Odometer order: the free entries hold the base-q digits of the
-        # position in the block, the last row-major position fastest.
-        code = np.arange(len(block), dtype=np.int64)
-        for i, c in reversed(free):
-            block[:, i, c] = code % field.q
-            code //= field.q
-        blocks.append(block)
-    return GrassmannianIndex(field, ambient_dim, dim, np.concatenate(blocks))
+        # Odometer order: the free entries hold the base-q digits of the position in the block.
+        code = np.arange(stop - start)
+        for i, c in zip(*np.nonzero(w)):
+            block[:, i, c] = code // w[i, c] % field.q
+    return GrassmannianIndex(field, ambient_dim, dim, bases)
 
 
-def _check_enum_cap(q: int, ambient_dim: int, dim: int, count: int) -> None:
-    """Raise EnumerationTooLargeError if P(F_q^ambient_dim, dim), of ``count``
-    subspaces, exceeds the enumeration cap in force now."""
+def _size_text(n: int) -> str:
+    """n in decimal, or as a power of ten past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{math.log10(n):.1f}"
+
+
+def _check_enum_cap(subject: str, *sizes: int) -> None:
+    """Raise EnumerationTooLargeError if a size exceeds the enumeration cap in
+    force now, naming each in ``subject``'s ``{}`` fields by ``_size_text``."""
     cap_val = resolve_enum_cap()
-    if count > cap_val:
-        raise EnumerationTooLargeError(
-            f"P(F_{q}^{ambient_dim}, {dim}) has {count} subspaces, "
-            f"exceeding the enumeration cap {cap_val}"
-        )
+    if max(sizes) > cap_val:
+        raise EnumerationTooLargeError(f"{subject.format(*map(_size_text, sizes))}, exceeding the enumeration cap {cap_val}")
 
 
 def enumerate_grassmannian(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
@@ -303,7 +330,7 @@ def enumerate_grassmannian(field: GF, ambient_dim: int, dim: int) -> Grassmannia
     ambient_dim = _check_int("ambient_dim", ambient_dim, 0)
     dim = _check_int("dim", dim, 0)
     count = gaussian_coefficient(ambient_dim, dim, field.q)
-    _check_enum_cap(field.q, ambient_dim, dim, count)
+    _check_enum_cap(f"P(F_{field.q}^{ambient_dim}, {dim}) has {{}} subspaces", count)
     index = _enumerate_cached(field, ambient_dim, dim)
     if len(index) != count:
         raise AssertionError(f"enumeration produced {len(index)} subspaces, expected {count}")

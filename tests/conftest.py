@@ -70,6 +70,26 @@ def reference_grassmannian_bases(q: int, ambient_dim: int, dim: int, last_fastes
     return np.array(out, dtype=np.uint8).reshape(len(out), dim, ambient_dim)
 
 
+def mul_slow(field: GF, a: int, b: int) -> int:
+    """Digit-level product of a and b in ``field``: polynomial multiplication
+    of the base-p digit vectors, reduced mod the field's reduction polynomial."""
+    p, k = field.p, field.k
+    if k == 1:
+        return a * b % p
+    da = [(a // p**i) % p for i in range(k)]
+    db = [(b // p**i) % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(da):
+        for j, bj in enumerate(db):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        if c:
+            for i in range(k + 1):
+                prod[d - k + i] = (prod[d - k + i] - c * field.reduction_poly[i]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:k]))
+
+
 def reference_label(q: int, basis: np.ndarray) -> str:
     """A subspace label built row by row: q-ary digits for q <= 16, else
     comma-separated decimals; rows joined by '|'."""
@@ -104,6 +124,17 @@ def component_trans(comp) -> np.ndarray:
     out = np.zeros((len(comp.support), len(comp.output_index)))
     out[np.arange(len(comp.support))[:, None], comp.support] = 1.0 / comp.support.shape[1]
     return out
+
+
+def dmc_dict(dmc) -> dict:
+    """The object the JSON export writes, built independently of its row
+    writer: the export's metadata, and the dense rows of ``triplets()``."""
+    from subchan.channel import _dmc_metadata
+
+    rows, cols, vals = dmc.triplets()
+    dense = np.zeros((dmc.num_inputs, dmc.num_outputs))
+    dense[rows, cols] = vals
+    return {**_dmc_metadata(dmc), "transitions": dense.tolist()}
 
 
 # Critical values of the chi-square distribution at significance 0.001.

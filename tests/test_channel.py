@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CHI2_CRIT_P001, chi2_statistic, component_trans, matrices_by_rank, traced_peak
+from conftest import CHI2_CRIT_P001, chi2_statistic, component_trans, dmc_dict, matrices_by_rank, traced_peak
 from subchan import _kernels, channel
 from subchan.capacity import blahut_arimoto, capacity_closed_form, mutual_information
 from subchan.channel import (
@@ -24,7 +24,6 @@ from subchan.channel import (
     components,
     conditional_prob_given_rank,
     dmc_to_csv,
-    dmc_to_dict,
     dmc_to_json,
     estimate_rank_def_dist,
     simulate_frame,
@@ -319,7 +318,6 @@ class TestBuildDmc:
         mutual_information(dmc, np.full(7, 1 / 7))
         blahut_arimoto(dmc)
         comps = components(dmc)
-        dmc_to_dict(dmc)
         dmc_to_json(dmc, io.StringIO())
         dmc_to_csv(dmc, io.StringIO())
         assert "trans" not in vars(dmc) and "support_by_dim" not in vars(dmc)
@@ -716,7 +714,7 @@ class TestEstimateRankDefDist:
 class TestExports:
     def test_dict_export_shape_and_metadata(self):
         dmc = build_dmc(MIXED)
-        data = dmc_to_dict(dmc)
+        data = dmc_dict(dmc)
         assert data["format_version"] == 1
         assert (data["q"], data["T"], data["h"]) == (2, 3, 2)
         assert len(data["input_labels"]) == 7
@@ -731,7 +729,7 @@ class TestExports:
         dmc = build_dmc(ChannelSpec(GF(q), T, h, RankDefDist.uniform(h)))
         buf = io.StringIO()
         dmc_to_json(dmc, buf)
-        assert buf.getvalue() == json.dumps(dmc_to_dict(dmc), indent=2, sort_keys=True) + "\n"
+        assert buf.getvalue() == json.dumps(dmc_dict(dmc), indent=2, sort_keys=True) + "\n"
 
     def test_csv_export_parses_back(self):
         dmc = build_dmc(MIXED)

@@ -4,6 +4,9 @@ byte-identical determinism."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -430,6 +433,33 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: {name} must be an integer >= 0, got -1"]
+
+
+class TestOversizedSizes:
+    """Sizes with more digits than Python converts to text (4,300 by default)
+    exit 2 with the size as a power of ten, not 1 with a ValueError.  Each
+    runs in a fresh interpreter with a timeout, so that a hang fails."""
+
+    SPEC = ["--q", "2", "--T", "20000", "--h", "2", "--rank-def", "0.5,0.3,0.2"]
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["matrix", *SPEC], "alphabet sizes |X| = about 10^12040.4, |Y| = about 10^12040.4, exceeding"),
+            (["simulate", *SPEC, "--draws", "10"], "alphabet sizes |X| = about 10^12040.4"),
+            (["count", "gauss", "--n", "20000", "--l", "2", "--q", "2"], "the count is about 10^12040.4"),
+            (["count", "bases", "--h", "200", "--q", "2"], "the count is about 10^12040.7"),
+        ],
+        ids=["matrix", "simulate", "count-gauss", "count-bases"],
+    )
+    def test_exit_2_naming_the_size_as_a_power_of_ten(self, argv, text):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "subchan.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and text in run.stderr and "Traceback" not in run.stderr
 
 
 class TestChannelSpecSchema:

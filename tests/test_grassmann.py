@@ -18,7 +18,7 @@ from conftest import (
     subspace_vectors,
 )
 from subchan import _kernels
-from subchan.channel import ChannelSpec, RankDefDist, build_dmc, dmc_to_csv, dmc_to_dict, dmc_to_json
+from subchan.channel import ChannelSpec, RankDefDist, build_dmc, dmc_to_csv, dmc_to_json
 from subchan.errors import (
     AmbientMismatchError,
     DimensionMismatchError,
@@ -202,8 +202,10 @@ class TestEnumerateGrassmannian:
 
     def test_every_non_member_raises_below_above_and_between_the_sorted_keys(self):
         """Every 2 x 3 matrix over GF(2) that is not a basis of the index
-        raises the one KeyError, wherever its bytes fall among the sorted
-        bytes of the bases: below the first, above the last, or between two."""
+        raises the one KeyError: the closed form ranks it at some basis, and
+        the comparison with that basis fails.  Their bytes fall below the
+        first basis, above the last and between two, the edge cases of the
+        sorted byte-key search the closed form replaced."""
         idx = enumerate_grassmannian(F2, 3, 2)
         members = sorted(b.tobytes() for b in idx.bases)
         places = set()
@@ -216,6 +218,57 @@ class TestEnumerateGrassmannian:
             with pytest.raises(KeyError, match=r"^'subspace not in P\(F_2\^3, 2\)'$"):
                 idx.indices(np.stack([idx.bases[0], m]))
         assert places == {"below", "above", "between"}
+
+    @pytest.mark.parametrize("q, t", [(2, 6), (3, 5), (4, 4), (5, 4), (256, 2)])
+    def test_ranks_invert_the_enumeration_in_any_order(self, q, t):
+        rng = np.random.default_rng(q)
+        for ell in range(t + 1):
+            idx = enumerate_grassmannian(GF(q), t, ell)
+            assert np.array_equal(idx.indices(idx.bases), np.arange(len(idx)))
+            order = rng.permutation(len(idx))
+            assert np.array_equal(idx.indices(idx.bases[order]), order)
+
+    def test_blocks_rank_and_check_each_basis(self, monkeypatch):
+        """With blocks of 4, the 15 bases of P(F_2^4, 1) span four blocks;
+        a non-member in the last one raises."""
+        monkeypatch.setattr(_kernels, "_BLOCK", 4)
+        idx = enumerate_grassmannian(F2, 4, 1)
+        order = np.random.default_rng(1).permutation(15)
+        assert np.array_equal(idx.indices(idx.bases[order]), order)
+        stack = idx.bases[order].copy()
+        stack[13, 0, 0] = 2
+        with pytest.raises(KeyError):
+            idx.indices(stack)
+
+    @pytest.mark.parametrize("dim", [0, 70])
+    def test_one_basis_at_seventy_columns(self, dim):
+        """C(70, 35) exceeds int64: the cell rank must not form it."""
+        idx = enumerate_grassmannian(F2, 70, dim)
+        assert len(idx) == 1 and idx.indices(idx.bases).tolist() == [0]
+        if dim:
+            zero_row = idx.bases.copy()
+            zero_row[0, 35] = 0
+            with pytest.raises(KeyError):
+                idx.indices(zero_row)
+
+    @pytest.mark.parametrize(
+        "mutation, row, col, value",
+        [
+            ("wrong_field_byte", 0, 3, 3),  # a free entry 3 is no element of GF(3)
+            ("entry_above_pivot", 0, 1, 1),  # row 1's pivot column must be zero elsewhere
+            ("pivot_not_one", 1, 1, 2),
+            ("leading_entry_two", 1, 1, 0),  # row 1 becomes 0 0 2 0
+        ],
+    )
+    def test_non_members_raise(self, mutation, row, col, value):
+        idx = enumerate_grassmannian(GF(3), 4, 2)
+        member = np.array([[1, 0, 0, 1], [0, 1, 2, 0]], dtype=np.uint8)
+        stack = np.stack([idx.bases[0], member, idx.bases[-1]])
+        ranks = idx.indices(stack)
+        assert ranks[[0, 2]].tolist() == [0, len(idx) - 1] and np.array_equal(idx.bases[ranks[1]], member)
+        stack[1, row, col] = value
+        with pytest.raises(KeyError, match=r"^'subspace not in P\(F_3\^4, 2\)'$"):
+            idx.indices(stack)
 
     def test_wrong_shapes_raise_and_empty_or_zero_dimensional_stacks_work(self):
         idx = enumerate_grassmannian(F2, 3, 2)
@@ -329,7 +382,6 @@ class TestEnumerateGrassmannian:
         monkeypatch.setattr(Subspace, "__post_init__", spy)
         _enumerate_cached.cache_clear()
         dmc = build_dmc(ChannelSpec(F2, 5, 2, RankDefDist.uniform(2)))
-        dmc_to_dict(dmc)
         dmc_to_json(dmc, io.StringIO())
         dmc_to_csv(dmc, io.StringIO())
         assert dmc.num_inputs == 155 and built == []

@@ -30,7 +30,6 @@ from subchan.channel import (
     components,
     conditional_prob_given_rank,
     dmc_to_csv,
-    dmc_to_dict,
     dmc_to_json,
     estimate_rank_def_dist,
     simulate_frame,
@@ -116,7 +115,6 @@ CASES = {
     "transition_prob-None": (lambda: transition_prob(None, U, U), InvalidParameterError),
     "conditional_prob_given_rank-None": (lambda: conditional_prob_given_rank(None, U, U, 0), InvalidParameterError),
     "components-dmc-None": (lambda: components(None), InvalidParameterError),
-    "dmc_to_dict-None": (lambda: dmc_to_dict(None), InvalidParameterError),
     "dmc_to_json-None": (lambda: dmc_to_json(None, io.StringIO()), InvalidParameterError),
     "dmc_to_csv-None": (lambda: dmc_to_csv(None, io.StringIO()), InvalidParameterError),
     "Subspace-field-None": (lambda: Subspace(None, 3, U.basis), InvalidParameterError),
