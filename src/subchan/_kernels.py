@@ -90,10 +90,11 @@ def _scale(planes, s_bits, mul_t):
     return out
 
 
-def _eliminate_packed(mats, k, mul_t, inv_t, full):
+def _eliminate_packed(mats, k, mul_t, inv_t, full, rs, ranks):
     """Elimination on planes: row i, scaled to a leading 1, is subtracted f times
     from each later row (each other row for full=True), f being that row's entry
-    in row i's leading column; nonzero rows end with distinct leading columns."""
+    in row i's leading column; nonzero rows end with distinct leading columns.
+    Writes the ranks into ``ranks`` and, for full=True, the RREFs into ``rs``."""
     rows, cols = mats.shape[1:]
     planes = _pack(mats, k)
     for i in range(rows if full else rows - 1):
@@ -108,20 +109,20 @@ def _eliminate_packed(mats, k, mul_t, inv_t, full):
             hit[:, i] = False
         rest ^= _scale(piv[:, None], hit, mul_t)
     lead = functools.reduce(np.bitwise_or, planes)
+    (lead != 0).sum(axis=0, out=ranks)
     if not full:
-        return None, (lead != 0).sum(axis=0)
+        return
     # Row r moves to the number of rows with a larger leading word: nonzero rows
     # to distinct slots in order, zero rows all to slot rank; later slots stay 0.
     dest = sum((row > lead for row in lead), np.zeros(lead.shape, dtype=np.uint8))
     out = np.zeros((k, lead.shape[1], rows), dtype=np.uint64)
     out[:, np.arange(lead.shape[1])[:, None], dest.T] = planes.transpose(0, 2, 1)
-    return np.ascontiguousarray(_unpack(out, cols)), (lead != 0).sum(axis=0)
+    rs[...] = _unpack(out, cols)
 
 
-def _eliminate_table(mats, add_t, mul_t, inv_t, neg_t, full):
-    r = mats.copy()
+def _eliminate_table(r, add_t, mul_t, inv_t, neg_t, full, pr):
+    """Elimination of the stack r in place, counting each matrix's pivots into the zeros pr."""
     nmat, rows, cols = r.shape
-    pr = np.zeros(nmat, dtype=np.int64)
     row_ids = np.arange(rows)
     for c in range(cols):
         if np.all(pr == rows):
@@ -146,7 +147,6 @@ def _eliminate_table(mats, add_t, mul_t, inv_t, neg_t, full):
             factors[row_ids[None, :] <= prs[:, None]] = 0
         r[sel] = add_t[r[sel], mul_t[neg_t[factors][:, :, None], piv_rows[:, None, :]]]
         pr[sel] += 1
-    return r, pr
 
 
 def matmul_batch(a, b, add_t, mul_t):
@@ -169,16 +169,16 @@ def matmul_batch(a, b, add_t, mul_t):
 
 def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):
     """Gaussian elimination of each matrix: RREFs (None for full=False, which
-    reduces below pivots only) and ranks.  Block results join last: an output made
-    first leaves temporaries atop the heap, trimmed by malloc and faulted back in."""
-    if len(mats) > _BLOCK:
-        blocks = range(0, len(mats), _BLOCK)
-        rs, ranks = zip(*(_eliminate_batch(mats[s : s + _BLOCK], add_t, mul_t, inv_t, neg_t, full) for s in blocks))
-        return (np.concatenate(rs) if full else None), np.concatenate(ranks)
+    reduces below pivots only) and ranks, each block written into the outputs."""
+    rs, ranks = (mats.copy() if full else None), np.zeros(len(mats), dtype=np.int64)
     k = _plane_count(add_t, mats.shape[2])
-    if k:
-        return _eliminate_packed(mats, k, mul_t, inv_t, full)
-    return _eliminate_table(mats, add_t, mul_t, inv_t, neg_t, full)
+    for s in range(0, len(mats), _BLOCK):
+        part = slice(s, s + _BLOCK)
+        if k:
+            _eliminate_packed(mats[part], k, mul_t, inv_t, full, rs[part] if full else None, ranks[part])
+        else:
+            _eliminate_table(rs[part] if full else mats[part].copy(), add_t, mul_t, inv_t, neg_t, full, ranks[part])
+    return rs, ranks
 
 
 def rank_batch(mats, add_t, mul_t, inv_t, neg_t):

@@ -73,7 +73,8 @@ __all__ = [
     "transition_prob",
 ]
 
-# Uses per chunk of _draw_uses; part of the seeded stream's definition.
+# Uses per chunk of _draw_uses; part of the seeded stream's definition.  Also the
+# most k x h matrices whose slots ``_frame`` tabulates.
 _CHUNK = 65_536
 
 
@@ -412,10 +413,25 @@ def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
         yield counts, {d: sample_full_rank_batch(f, h - d, h, counts[d], rng) for d in range(1, h)}
 
 
+def _slot_table(field: GF, k: int, h: int) -> np.ndarray:
+    """The slot in ``enumerate_grassmannian(field, h, k)`` of the row space of
+    each k x h matrix, or -1 below rank k, at the matrix's code: its row-major
+    entries as base-q digits, the first the most significant."""
+    mats = np.indices((field.q,) * (k * h), dtype=np.uint8).reshape(k * h, -1).T.reshape(-1, k, h)
+    canon, ranks = _kernels.rref_batch(mats, field.add_table, field.mul_table, field.inv_table, field.neg_table)
+    del mats  # the digits and the rank-deficient RREFs go before the lookup's temporaries
+    canon = canon[ranks == k]
+    table = np.full(len(ranks), -1)
+    table[ranks == k] = enumerate_grassmannian(field, h, k).indices(canon)
+    return table
+
+
 @functools.lru_cache(maxsize=16)
-def _frame(field: GF, h: int) -> OutputAlphabet:
-    """The subspaces of F_q^h, the slots of a ``simulate_frame`` tally."""
-    return OutputAlphabet(tuple(enumerate_grassmannian(field, h, d) for d in range(h + 1)))
+def _frame(field: GF, h: int) -> tuple[OutputAlphabet, dict[int, np.ndarray]]:
+    """The subspaces of F_q^h, the slots of a ``simulate_frame`` tally, and the
+    ``_slot_table`` of each kept-row shape k x h, 0 < k < h, with q^(k h) <= _CHUNK."""
+    frame = OutputAlphabet(tuple(enumerate_grassmannian(field, h, d) for d in range(h + 1)))
+    return frame, {k: _slot_table(field, k, h) for k in range(1, h) if field.q ** (k * h) <= _CHUNK}
 
 
 def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -426,22 +442,30 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     and its slot is R's position among the subspaces of F_q^h (the order of
     ``subspaces_of_batch``); d = 0 outputs u (the last slot) and d = h the zero
     space (slot 0).  A chunk of ``_draw_uses`` yields counts, so the slots of
-    d = 0 and d = h take its counts; memory is bounded by one chunk.
+    d = 0 and d = h take its counts; memory is bounded by one chunk.  Kept rows
+    of a shape k x h with q^(k h) <= ``_CHUNK`` are looked up by their code in
+    the cached ``_slot_table``; larger shapes take one ``rref_batch`` call and
+    one lookup per deficiency and chunk.
     """
     _check_type("spec", spec, ChannelSpec)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     f, h = spec.field, spec.h
     tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
-    frame = _frame(f, h)
+    frame, slot_tables = _frame(f, h)
     for d, block in enumerate(frame.blocks):
         _check_enum_cap(f"P(F_{f.q}^{h}, {d}) has {{}} subspaces", len(block))
     tally = np.zeros(len(frame), dtype=np.int64)
     for counts, kept in _draw_uses(spec, draws, rng):
         tally[[0, -1]] += counts[[h, 0]]
         for d, rows in kept.items():
-            canon = _kernels.rref_batch(rows, *tables)[0]
-            lo, hi = frame.offsets[h - d : h - d + 2]
-            tally[lo:hi] += np.bincount(frame.blocks[h - d].indices(canon), minlength=hi - lo)
+            k = h - d
+            if k in slot_tables:  # a code is below q^(k h) <= 2^16, so uint16 holds it
+                codes = rows.reshape(len(rows), k * h) @ f.q ** np.arange(k * h - 1, -1, -1, dtype=np.uint16)
+                slots = slot_tables[k][codes]
+            else:
+                slots = frame.blocks[k].indices(_kernels.rref_batch(rows, *tables)[0])
+            lo, hi = frame.offsets[k : k + 2]
+            tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
     return tally
 
 

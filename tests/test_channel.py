@@ -5,6 +5,7 @@ spec-file / export interfaces."""
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -527,8 +528,7 @@ class TestSimulateUses:
         canon, ranks = _kernels.rref_batch(group, *tables)
         assert np.all(ranks == h) and np.array_equal(canon, np.broadcast_to(np.eye(h, dtype=np.uint8), group.shape))
 
-    @pytest.mark.parametrize("q", [2, 3, 4])
-    @pytest.mark.parametrize("T, h", [(4, 2), (5, 3)])
+    @pytest.mark.parametrize("T, h, q", [(T, h, q) for T, h in [(4, 2), (5, 3)] for q in [2, 3, 4]] + [(6, 5, 2)])
     def test_frame_is_the_papers_mechanism(self, q, T, h):
         """On one seed, the literal mechanism in F_q^T on the stream's own
         draws (each use's deficiency d, then for each d = 1..h-1 one uniform
@@ -538,7 +538,10 @@ class TestSimulateUses:
         and the tally of ``simulate_frame`` on the same seed counts exactly
         those slots.  A slot mislabelled within a dimension block would pass
         every z-score of the MC; this pins it.  The deficiencies are drawn
-        here with ``np.searchsorted``, independently of the package's draw."""
+        here with ``np.searchsorted``, independently of the package's draw.
+        At q2 T6 h5 the kept rows of d = 1 (2^20 matrices of 4 x 5) are
+        eliminated and those of d = 2..4 looked up in slot tables, so both
+        paths of ``simulate_frame`` are pinned."""
         f, draws = GF(q), 3000
         tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
         spec = ChannelSpec(f, T, h, RankDefDist.uniform(h))
@@ -568,6 +571,65 @@ class TestSimulateUses:
             tally = simulate_frame(spec, draws, np.random.default_rng(100 + i))
             assert tally.dtype == np.int64
             assert np.array_equal(tally, np.bincount(slots, minlength=nnz))
+
+
+# Every kept-row shape k x h, h <= 8, that a slot table covers; the largest
+# (q^(k h) = 2^16) are q2 2 x 8, q16 1 x 4 and q256 1 x 2.
+SLOT_TABLE_SHAPES = [
+    (q, k, h) for q in (2, 3, 4, 16, 256) for h in range(2, 9) for k in range(1, h) if q ** (k * h) <= channel._CHUNK
+]
+
+
+class TestSlotTables:
+    """``simulate_frame`` looks kept rows up in a table built by ``rref_batch``
+    and ``GrassmannianIndex.indices``; these checks count instead."""
+
+    @pytest.mark.parametrize("q, k, h", SLOT_TABLE_SHAPES)
+    def test_each_subspace_is_the_row_space_of_its_bases(self, q, k, h):
+        """Of the q^(k h) matrices, prod_{i<k} (q^h - q^i) have rank k (the
+        sampler's analytic acceptance times q^(k h)), and each of the C(h, k)_q
+        slots is the row space of |GL(k, q)| of them, its ordered bases.  The
+        enumerated RREF basis of each slot sits at that slot."""
+        table = channel._slot_table(GF(q), k, h)
+        assert table.shape == (q ** (k * h),)
+        full_rank = math.prod(q**h - q**i for i in range(k))
+        assert np.count_nonzero(table >= 0) == full_rank
+        assert full_rank == pytest.approx(math.prod(1 - q ** (i - h) for i in range(k)) * q ** (k * h))
+        assert np.array_equal(np.unique(table), np.arange(-1, gaussian_coefficient(h, k, q)))
+        assert np.all(np.bincount(table[table >= 0]) == count_ordered_bases(k, q))
+        bases = enumerate_grassmannian(GF(q), h, k).bases
+        codes = bases.reshape(len(bases), k * h) @ q ** np.arange(k * h - 1, -1, -1)
+        assert np.array_equal(table[codes], np.arange(len(bases)))
+
+    def test_a_shape_just_over_the_chunk_gets_no_table(self, monkeypatch):
+        """256^2 = ``_CHUNK``: the q256 1 x 2 shape is the last one tabulated."""
+        f = GF(256)
+        channel._frame.cache_clear()
+        try:
+            assert set(channel._frame(f, 2)[1]) == {1}
+            monkeypatch.setattr(channel, "_CHUNK", channel._CHUNK - 1)
+            channel._frame.cache_clear()
+            assert channel._frame(f, 2)[1] == {}
+        finally:
+            channel._frame.cache_clear()
+
+    def test_tabulated_shapes_are_not_eliminated(self, monkeypatch):
+        """After the frame is built, a q2 h5 call eliminates only its 4 x 5
+        kept rows (2^20 matrices, over ``_CHUNK``): one ``rref_batch`` per chunk."""
+        spec = ChannelSpec(F2, 6, 5, RankDefDist.uniform(5))
+        simulate_frame(spec, 10, np.random.default_rng(0))
+        shapes = []
+        rref_batch = _kernels.rref_batch
+        monkeypatch.setattr(_kernels, "rref_batch", lambda mats, *t: shapes.append(mats.shape[1:]) or rref_batch(mats, *t))
+        simulate_frame(spec, 70_000, np.random.default_rng(0))
+        assert shapes == [(4, 5), (4, 5)]
+
+    def test_build_memory(self):
+        """The q2 2 x 8 table covers 65,536 matrices: the digits are built as
+        uint8 (1 MiB), and an int64 (n, k h) array of them alone would take 8 MiB."""
+        f = GF(2)
+        channel._slot_table(f, 2, 8)  # warms P(F_2^8, 2) and its ranking tables
+        assert traced_peak(lambda: channel._slot_table(f, 2, 8)) < 8 << 20
 
 
 class TestDmcMemory:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import eliminate_batch_loops, matmul_batch_loops
+from conftest import eliminate_batch_loops, matmul_batch_loops, traced_peak
 from subchan import _kernels
 from subchan.channel import ChannelSpec, RankDefDist
 from subchan.gf import GF
@@ -210,6 +210,26 @@ def test_blocks_do_not_reenter_the_public_kernels(monkeypatch, q):
     assert calls == ["rank_batch", "rref_batch", "matmul_batch"]
 
 
+@pytest.mark.parametrize("q, rows, cols", [(2, 4, 64), (4, 4, 32), (4, 2, 3), (3, 4, 16)])
+def test_a_second_block_adds_only_its_outputs_to_the_peak(q, rows, cols):
+    """Each block is written into the preallocated RREFs and int64 ranks, so
+    the traced peak of two blocks exceeds that of one by the second block's
+    outputs and the few hundred bytes of the loop's Python objects (4 KiB
+    allowed).  Joining per-block results at the end would hold them twice,
+    which shows at the wide shapes, where outputs outweigh the temporaries.
+    Both blocks hold the same matrices, so the table path's (q3) temporaries
+    match too."""
+    tables = _tables(q)
+    block = _random_mats(q, _kernels._BLOCK, rows, cols, seed=q)
+
+    def peak(mats):
+        _kernels.rref_batch(mats, *tables)
+        return traced_peak(lambda: _kernels.rref_batch(mats, *tables))
+
+    outputs = _kernels._BLOCK * (rows * cols + np.dtype(np.int64).itemsize)
+    assert peak(np.concatenate([block, block])) - peak(block) <= outputs + 4096
+
+
 # sha256 of json.dumps(mc_report_to_dict(run_mc(spec, 2000, 1)), sort_keys=True):
 # the kernels must reproduce every seeded report bit for bit.  The MC digests
 # were last re-recorded when the stream changed from a whole h x h selector
@@ -224,6 +244,8 @@ def test_blocks_do_not_reenter_the_public_kernels(monkeypatch, q):
         (4, 2, (0.5, 0.3, 0.2), "dac79e293f75765cdc4f6c9e348cf262d73e1c99f5006cc7d238deea3f7a3104", 2000),
         (5, 3, (0.4, 0.3, 0.2, 0.1), "648a473cd3726fcd8abe8f3be1b3a0eac6a574a50f142f3c425c1b9c0ff3e428", 2000),
         (3, 2, (0.5, 0.3, 0.2), "dd19edbbcac2107a55f0035801f27d04f504660dd18455c54a0049b03b236a60", 140_000),
+        # The uniform law at h = 5: d = 1 (4 x 5 kept rows) is eliminated, d = 2..4 use slot tables.
+        (6, 5, (1 / 6,) * 6, "8130d0a35881d16cc7807fd0fa8ddfc65273dfa7f86976e1a39356f48b2c1ec3", 2000),
     ],
 )
 def test_gf2_mc_report_golden_hash(T, h, rank_def, digest, draws):
