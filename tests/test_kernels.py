@@ -214,11 +214,10 @@ def test_blocks_do_not_reenter_the_public_kernels(monkeypatch, q):
 def test_a_second_block_adds_only_its_outputs_to_the_peak(q, rows, cols):
     """Each block is written into the preallocated RREFs and int64 ranks, so
     the traced peak of two blocks exceeds that of one by the second block's
-    outputs and the few hundred bytes of the loop's Python objects (4 KiB
-    allowed).  Joining per-block results at the end would hold them twice,
-    which shows at the wide shapes, where outputs outweigh the temporaries.
-    Both blocks hold the same matrices, so the table path's (q3) temporaries
-    match too."""
+    outputs and at most about a kilobyte of small objects (4 KiB allowed).
+    Joining per-block results at the end would hold them twice, which shows
+    at the wide shapes, where outputs outweigh the temporaries.  Both blocks
+    hold the same matrices, so the table path's (q3) temporaries match too."""
     tables = _tables(q)
     block = _random_mats(q, _kernels._BLOCK, rows, cols, seed=q)
 
