@@ -150,21 +150,25 @@ def _eliminate_table(r, add_t, mul_t, inv_t, neg_t, full, pr):
 
 
 def matmul_batch(a, b, add_t, mul_t):
-    """Products a[s] @ b[s] of two (nmat, n, k) and (nmat, k, m) stacks."""
-    k, parts = _plane_count(add_t, b.shape[2]), []
-    for ab, bb in ((a[s : s + _BLOCK], b[s : s + _BLOCK]) for s in range(0, max(len(a), 1), _BLOCK)):
+    """Products a[s] @ b[s] of two (nmat, n, k) and (nmat, k, m) stacks, each
+    block written into the output before the next block's temporaries exist."""
+    k = _plane_count(add_t, b.shape[2])
+    out = np.empty((len(a), a.shape[1], b.shape[2]), dtype=np.uint8)
+    for s in range(0, len(a), _BLOCK):
+        ab, bb = a[s : s + _BLOCK], b[s : s + _BLOCK]
         if k:  # row i of a product XORs a[s, i, t] times row t of b over t
             planes, a_bits = _pack(bb, k), _bits(ab, k)
-            out = np.zeros((k,) + ab.shape[:2], dtype=np.uint64)
+            acc = np.zeros((k,) + ab.shape[:2], dtype=np.uint64)
             for t in range(ab.shape[2]):
-                out ^= _scale(planes[:, t, :, None], a_bits[..., t], mul_t)
-            out = np.ascontiguousarray(_unpack(out, bb.shape[2]))
+                acc ^= _scale(planes[:, t, :, None], a_bits[..., t], mul_t)
+            out[s : s + _BLOCK] = _unpack(acc, bb.shape[2])
+            del planes, a_bits, acc
         else:
-            out = np.zeros((len(ab), ab.shape[1], bb.shape[2]), dtype=np.uint8)
+            acc = np.zeros((len(ab), ab.shape[1], bb.shape[2]), dtype=np.uint8)
             for t in range(ab.shape[2]):
-                out = add_t[out, mul_t[ab[:, :, t, None], bb[:, t, None, :]]]
-        parts.append(out)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+                acc = add_t[acc, mul_t[ab[:, :, t, None], bb[:, t, None, :]]]
+            out[s : s + _BLOCK] = acc
+    return out
 
 
 def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):

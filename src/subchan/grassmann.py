@@ -7,10 +7,12 @@ subspace hashes in O(1).  The zero-dimensional space O is the empty basis.
 Enumeration order is part of the public contract: pivot column sets (one
 Schubert cell each) in lexicographic order, and within a cell the free
 entries counted like an odometer (row-major positions, the last fastest).
-The cells are filled from one table, which ``GrassmannianIndex.indices``
-inverts in closed form; an alphabet is its stacked bases, and a ``Subspace``
-is built only for an element that is accessed.  Indices are stable across
-runs and platforms; ``index_of`` is a batch of one of ``indices``.
+A ``GrassmannianIndex`` is built from (q, T, dim) alone: it fills the cells
+from one table, which ``indices`` inverts in closed form, so there is no
+outside stack to check.  An alphabet is its stacked bases, and a
+``Subspace`` is built only for an element that is accessed.  Indices are
+stable across runs and platforms; ``index_of`` is a batch of one of
+``indices``.
 """
 
 from __future__ import annotations
@@ -204,26 +206,25 @@ class GrassmannianIndex:
     """Deterministic bijection between [0, |P(F_q^T, ell)|) and subspaces.
 
     ``bases`` (size, ell, T), read-only, stacks the canonical bases in
-    enumeration order, checked at construction; ``indices`` maps such stacks
-    to positions, and ``labels`` serializes them.  Indexing, and so
-    iteration, builds a ``Subspace``.
+    enumeration order, filled cell by cell from ``_schubert_cells``;
+    ``indices`` maps such stacks to positions, and ``labels`` serializes
+    them.  Indexing, and so iteration, builds a ``Subspace``.
     """
 
-    def __init__(self, field: GF, ambient_dim: int, dim: int, bases: np.ndarray):
+    def __init__(self, field: GF, ambient_dim: int, dim: int):
+        ambient_dim, dim = _check_grassmannian(field, ambient_dim, dim)
         self.field, self.ambient_dim, self.dim = field, ambient_dim, dim
-        self.bases = np.ascontiguousarray(bases, dtype=np.uint8)
-        self.bases.setflags(write=False)
-        _, lex, self._offsets, weights = _schubert_cells(field.q, ambient_dim, dim)
+        cells, lex, self._offsets, weights = _schubert_cells(field.q, ambient_dim, dim)
         self._lex, self._weights = lex.ravel(), weights.reshape(len(weights), dim * ambient_dim)
-        canon, ranks = _kernels.rref_batch(self.bases, field.add_table, field.mul_table, field.inv_table, field.neg_table)
-        # indices inverts the enumeration: RREF bases are distinct and in
-        # enumeration order exactly when each one ranks at its own position.
-        try:
-            in_order = np.array_equal(self.indices(self.bases), np.arange(len(self)))
-        except KeyError:
-            in_order = False
-        if (ranks != dim).any() or not np.array_equal(canon, self.bases) or not in_order:
-            raise InvalidParameterError(f"bases of P(F_{field.q}^{ambient_dim}, {dim}) are not its RREF bases in order")
+        self.bases = np.zeros((self._offsets[-1], dim, ambient_dim), dtype=np.uint8)
+        for pivots, w, start, stop in zip(cells, weights, self._offsets[:-1], self._offsets[1:]):
+            block = self.bases[start:stop]
+            block[:, np.arange(dim), list(pivots)] = 1
+            # Odometer order: the free entries hold the base-q digits of the position in the block.
+            code = np.arange(stop - start)
+            for i, c in zip(*np.nonzero(w)):
+                block[:, i, c] = code // w[i, c] % field.q
+        self.bases.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -273,7 +274,6 @@ class GrassmannianIndex:
         return f"GrassmannianIndex(GF({self.field.q}), T={self.ambient_dim}, dim={self.dim}, size={len(self)})"
 
 
-@functools.lru_cache(maxsize=64)
 def _schubert_cells(q: int, ambient_dim: int, dim: int):
     """P(F_q^T, dim) by Schubert cell, the pivot tuples in lexicographic order:
     the tuples; lex (dim, T); the cells' first positions and the total; and
@@ -294,18 +294,9 @@ def _schubert_cells(q: int, ambient_dim: int, dim: int):
     return cells, np.array(lex, dtype=np.int64).reshape(dim, ambient_dim), offsets, weights
 
 
-@functools.lru_cache(maxsize=64)
-def _enumerate_cached(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
-    cells, _, offsets, weights = _schubert_cells(field.q, ambient_dim, dim)
-    bases = np.zeros((offsets[-1], dim, ambient_dim), dtype=np.uint8)
-    for pivots, w, start, stop in zip(cells, weights, offsets[:-1], offsets[1:]):
-        block = bases[start:stop]
-        block[:, np.arange(dim), list(pivots)] = 1
-        # Odometer order: the free entries hold the base-q digits of the position in the block.
-        code = np.arange(stop - start)
-        for i, c in zip(*np.nonzero(w)):
-            block[:, i, c] = code // w[i, c] % field.q
-    return GrassmannianIndex(field, ambient_dim, dim, bases)
+# One cached index per (field, T, dim); ``enumerate_grassmannian`` checks the
+# arguments, and so the cap, before every lookup.
+_enumerate_cached = functools.lru_cache(maxsize=64)(GrassmannianIndex)
 
 
 def _size_text(n: int) -> str:
@@ -324,17 +315,19 @@ def _check_enum_cap(subject: str, *sizes: int) -> None:
         raise EnumerationTooLargeError(f"{subject.format(*map(_size_text, sizes))}, exceeding the enumeration cap {cap_val}")
 
 
-def enumerate_grassmannian(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
-    """All dim-dimensional subspaces of F_q^ambient_dim, in canonical order."""
+def _check_grassmannian(field: GF, ambient_dim: int, dim: int) -> tuple[int, int]:
+    """(ambient_dim, dim) as ints, after checking that field is a GF, both are
+    integers >= 0, and P(F_q^ambient_dim, dim) is within the cap in force now."""
     _check_type("field", field, GF)
     ambient_dim = _check_int("ambient_dim", ambient_dim, 0)
     dim = _check_int("dim", dim, 0)
-    count = gaussian_coefficient(ambient_dim, dim, field.q)
-    _check_enum_cap(f"P(F_{field.q}^{ambient_dim}, {dim}) has {{}} subspaces", count)
-    index = _enumerate_cached(field, ambient_dim, dim)
-    if len(index) != count:
-        raise AssertionError(f"enumeration produced {len(index)} subspaces, expected {count}")
-    return index
+    _check_enum_cap(f"P(F_{field.q}^{ambient_dim}, {dim}) has {{}} subspaces", gaussian_coefficient(ambient_dim, dim, field.q))
+    return ambient_dim, dim
+
+
+def enumerate_grassmannian(field: GF, ambient_dim: int, dim: int) -> GrassmannianIndex:
+    """All dim-dimensional subspaces of F_q^ambient_dim, in canonical order."""
+    return _enumerate_cached(field, *_check_grassmannian(field, ambient_dim, dim))
 
 
 def subspaces_of_batch(field: GF, bases: np.ndarray, dim: int) -> np.ndarray:

@@ -212,3 +212,49 @@ def test_criterion_8_uniform_input_achieves_capacity():
             cases += 1
     _passed(8, f"mutual information at the uniform input equals the closed form "
                f"within 1e-9 on all {cases} grid cases (worst {worst:.2e})")
+
+
+def _network_channel():
+    """The matrix channel X -> rowspace(G X) at q2 T3 h2, one transfer G at a
+    time: a (16, 42, 15) 0/1 array over the 2 x 2 matrices G, the full-rank
+    2 x 3 inputs X and the subspaces of F_2^3 of dimension <= 2, and the
+    rank of each G."""
+    by_rank = matrices_by_rank(2, 2, 2)
+    transfers = [g for r in range(3) for g in by_rank[r]]
+    ranks = np.repeat(np.arange(3), [len(by_rank[r]) for r in range(3)])
+    inputs = matrices_by_rank(2, 2, 3)[2]
+    outputs = [v for d in range(3) for v in enumerate_grassmannian(F2, 3, d)]
+    hits = np.zeros((len(transfers), len(inputs), len(outputs)))
+    for k, g in enumerate(transfers):
+        for i, x in enumerate(inputs):
+            hits[k, i, outputs.index(span(matmul(Mat(F2, g), Mat(F2, x))))] = 1.0
+    return hits, ranks
+
+
+def _network_gap(law, hits, ranks):
+    """BA capacity of the network channel with G drawn by ``law``, minus the
+    closed form of the rank-deficiency law that ``law`` induces."""
+    rank_def = RankDefDist(2, np.bincount(2 - ranks, weights=law, minlength=3))
+    ba = blahut_arimoto(np.tensordot(law, hits, 1), tol=1e-12).capacity_estimate
+    return ba - capacity_closed_form(ChannelSpec(F2, 3, 2, rank_def)).closed_form
+
+
+def test_criterion_9_closed_form_lower_bounds_the_network_capacity():
+    """The paper's claim: the closed form of the induced rank-deficiency law
+    is a lower bound on the capacity of the noncoherent network.  A fixed G
+    of rank r loses exactly log2 C(h, r)_q, and a law uniform within each
+    rank class loses nothing."""
+    hits, ranks = _network_channel()
+    assert hits.shape == (16, 42, 15) and np.bincount(ranks).tolist() == [1, 9, 6]
+    gaps = [_network_gap(np.random.default_rng(seed).dirichlet(np.ones(16)), hits, ranks) for seed in range(3)]
+    assert min(gaps) >= -1e-9
+    for r in range(3):
+        law = np.zeros(16)
+        law[np.flatnonzero(ranks == r)[-1]] = 1.0
+        assert abs(_network_gap(law, hits, ranks) - math.log2(gaussian_coefficient(2, r, 2))) <= 1e-9
+    for class_law in ([0.2, 0.3, 0.5], [0.0, 1.0, 0.0], [1 / 3] * 3):
+        law = np.asarray(class_law)[ranks] / np.bincount(ranks)[ranks]
+        assert abs(_network_gap(law, hits, ranks)) <= 1e-9
+    _passed(9, f"BA of the network channel exceeds the closed form by {min(gaps):.4f} to "
+               f"{max(gaps):.4f} bits on three random laws over G; a fixed G of rank r "
+               f"loses log2 C(h, r)_q, and a law uniform within each rank class loses nothing")

@@ -305,16 +305,37 @@ class TestEnumerateGrassmannian:
         # counted odometer-style with the last row-major position fastest.
         assert labels == ["100|010", "100|011", "101|010", "101|011", "100|001", "110|001", "010|001"]
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 16, 256])
     def test_bases_match_the_one_at_a_time_reference(self, q):
+        """The constructor checks nothing it builds, so this is the check:
+        every basis is its own full-rank RREF, in the reference order, and
+        ranks at its own position."""
         f = GF(q)
-        for t in range(6):
+        for t in range(6 if q <= 5 else 4 if q <= 16 else 3):
             for ell in range(t + 1):
                 idx = enumerate_grassmannian(f, t, ell)
                 reference = reference_grassmannian_bases(q, t, ell)
                 assert idx.bases.shape == reference.shape and np.array_equal(idx.bases, reference)
+                canon, ranks = _kernels.rref_batch(idx.bases, f.add_table, f.mul_table, f.inv_table, f.neg_table)
+                assert np.array_equal(canon, idx.bases) and (ranks == ell).all()
                 assert np.array_equal(idx.indices(idx.bases), np.arange(len(idx)))
                 assert not idx.bases.flags.writeable
+
+    def test_cold_enumeration_eliminates_and_ranks_nothing(self, monkeypatch):
+        calls, rref_batch, indices = [], _kernels.rref_batch, GrassmannianIndex.indices
+        monkeypatch.setattr(_kernels, "rref_batch", lambda *args: calls.append("rref_batch") or rref_batch(*args))
+        monkeypatch.setattr(GrassmannianIndex, "indices", lambda *args: calls.append("indices") or indices(*args))
+        f = GF(3)
+        _enumerate_cached.cache_clear()
+        idx = enumerate_grassmannian(f, 6, 3)
+        assert _enumerate_cached.cache_info().misses == 1
+        assert len(idx) == gaussian_coefficient(6, 3, 3) and calls == []
+
+    def test_direct_construction_equals_the_cached_enumeration(self):
+        direct = GrassmannianIndex(GF(4), 4, 2)
+        cached = enumerate_grassmannian(GF(4), 4, 2)
+        assert direct is not cached and np.array_equal(direct.bases, cached.bases)
+        assert repr(direct) == "GrassmannianIndex(GF(4), T=4, dim=2, size=357)"
 
     @pytest.mark.parametrize("q, t, ell", [(2, 4, 2), (3, 4, 2), (2, 5, 3), (4, 3, 1)])
     def test_reference_order_tells_a_wrong_digit_order_apart(self, q, t, ell):
@@ -324,27 +345,6 @@ class TestEnumerateGrassmannian:
         wrong = reference_grassmannian_bases(q, t, ell, last_fastest=False)
         assert sorted(idx.indices(wrong).tolist()) == list(range(len(idx)))
         assert not np.array_equal(idx.bases, wrong)
-
-    @pytest.mark.parametrize(
-        "mutation",
-        ["duplicate", "distant_duplicate", "entry_above_pivot", "zero_row", "pivot_not_one", "pivots_out_of_order"],
-    )
-    def test_construction_rejects_invalid_bases(self, mutation):
-        bases = enumerate_grassmannian(GF(3), 4, 2).bases.copy()
-        if mutation == "duplicate":
-            bases[5] = bases[4]
-        elif mutation == "distant_duplicate":
-            bases[-1] = bases[0]
-        elif mutation == "entry_above_pivot":
-            bases[0, 0, 1] = 1
-        elif mutation == "zero_row":
-            bases[0, 1] = 0
-        elif mutation == "pivot_not_one":
-            bases[0, 0, 0] = 2
-        else:
-            bases[0] = bases[0, ::-1]
-        with pytest.raises(InvalidParameterError):
-            GrassmannianIndex(GF(3), 4, 2, bases)
 
     def test_q2_t8_h4_has_every_subspace_once(self):
         idx = enumerate_grassmannian(F2, 8, 4)

@@ -38,12 +38,14 @@ from subchan.channel import (
 )
 from subchan.errors import (
     DistributionInvalidError,
+    EnumerationTooLargeError,
     InvalidParameterError,
     NotRowStochasticError,
     _check_real,
 )
 from subchan.gf import GF
 from subchan.grassmann import (
+    GrassmannianIndex,
     Subspace,
     contains,
     enumerate_grassmannian,
@@ -125,6 +127,10 @@ CASES = {
     "random_ordered_basis-None": (lambda: random_ordered_basis(None, np.random.default_rng(0)), InvalidParameterError),
     "random_ordered_basis-rng-None": (lambda: random_ordered_basis(U, None), InvalidParameterError),
     "enumerate_grassmannian-field-None": (lambda: enumerate_grassmannian(None, 3, 1), InvalidParameterError),
+    "GrassmannianIndex-field-None": (lambda: GrassmannianIndex(None, 3, 1), InvalidParameterError),
+    "GrassmannianIndex-T-negative": (lambda: GrassmannianIndex(GF(2), -1, 0), InvalidParameterError),
+    "GrassmannianIndex-dim-float": (lambda: GrassmannianIndex(GF(2), 3, 2.5), InvalidParameterError),
+    "GrassmannianIndex-over-cap": (lambda: GrassmannianIndex(GF(2), 40, 20), EnumerationTooLargeError),
     "matmul-None": (lambda: matmul(None, U.basis), InvalidParameterError),
     "rank-None": (lambda: rank(None), InvalidParameterError),
     "rref-None": (lambda: rref(None), InvalidParameterError),

@@ -212,21 +212,27 @@ def test_blocks_do_not_reenter_the_public_kernels(monkeypatch, q):
 
 @pytest.mark.parametrize("q, rows, cols", [(2, 4, 64), (4, 4, 32), (4, 2, 3), (3, 4, 16)])
 def test_a_second_block_adds_only_its_outputs_to_the_peak(q, rows, cols):
-    """Each block is written into the preallocated RREFs and int64 ranks, so
-    the traced peak of two blocks exceeds that of one by the second block's
-    outputs and at most about a kilobyte of small objects (4 KiB allowed).
-    Joining per-block results at the end would hold them twice, which shows
-    at the wide shapes, where outputs outweigh the temporaries.  Both blocks
-    hold the same matrices, so the table path's (q3) temporaries match too."""
+    """Each block is written into the preallocated outputs (RREFs and int64
+    ranks; products of rows x rows by rows x cols), so the traced peak of two
+    blocks exceeds that of one by the second block's outputs and at most about
+    a kilobyte of small objects (4 KiB allowed).  Joining per-block results at
+    the end would hold them twice, which shows at the wide shapes, where
+    outputs outweigh the temporaries.  Both blocks hold the same matrices, so
+    the table path's (q3) temporaries match too."""
     tables = _tables(q)
     block = _random_mats(q, _kernels._BLOCK, rows, cols, seed=q)
+    left = _random_mats(q, _kernels._BLOCK, rows, rows, seed=q + 1)
 
-    def peak(mats):
-        _kernels.rref_batch(mats, *tables)
-        return traced_peak(lambda: _kernels.rref_batch(mats, *tables))
+    def growth(kernel, mats, tables):
+        def peak(stacks):
+            kernel(*stacks, *tables)
+            return traced_peak(lambda: kernel(*stacks, *tables))
+
+        return peak([np.concatenate([m, m]) for m in mats]) - peak(mats)
 
     outputs = _kernels._BLOCK * (rows * cols + np.dtype(np.int64).itemsize)
-    assert peak(np.concatenate([block, block])) - peak(block) <= outputs + 4096
+    assert growth(_kernels.rref_batch, [block], tables) <= outputs + 4096
+    assert growth(_kernels.matmul_batch, [left, block], tables[:2]) <= _kernels._BLOCK * rows * cols + 4096
 
 
 # sha256 of json.dumps(mc_report_to_dict(run_mc(spec, 2000, 1)), sort_keys=True):
@@ -259,6 +265,17 @@ def test_gf4_mc_report_golden_hash():
     text = json.dumps(mc_report_to_dict(report), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "b38ee0a6f45fbff59b262d4493a7b7c3497c6658368d5fd3fa08e0c21c20078d"
+    )
+
+
+# The one odd-field report: at q3 T4 h4 the d = 1 kept rows (3 x 4, 3^12
+# matrices, more than a slot table admits) are eliminated by the table
+# kernel, and those of d = 2 and d = 3 are looked up in slot tables.
+def test_gf3_mc_report_golden_hash():
+    report = run_mc(ChannelSpec(GF(3), 4, 4, RankDefDist(4, (0.2,) * 5)), 2000, 1)
+    text = json.dumps(mc_report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "567468a3b2b0971032134326ac85d30e9c73dd3750b334fca15f99809c244f44"
     )
 
 

@@ -17,10 +17,10 @@ import pytest
 
 from conftest import traced_peak
 from subchan import _kernels, grassmann, mc
-from subchan.channel import ChannelSpec, RankDefDist, build_dmc
+from subchan.channel import ChannelSpec, RankDefDist, build_dmc, transition_prob
 from subchan.errors import InsufficientDataError, InvalidParameterError, SubchanError
 from subchan.gf import GF
-from subchan.grassmann import GrassmannianIndex
+from subchan.grassmann import GrassmannianIndex, contains
 from subchan.mc import (
     empirical_capacity_pipeline,
     mc_report_to_csv,
@@ -97,6 +97,19 @@ class TestRunMcStructure:
         assert data["worst_z_score"] is None
         schema = Path(__file__).resolve().parents[1] / "schemas" / "mc_report.schema.json"
         jsonschema.validate(data, json.loads(schema.read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize("q, T", [(2, 4), (3, 3)])
+    def test_cells_score_against_the_scalar_law(self, q, T):
+        """Each cell's expected probability is the scalar law of its (u, v),
+        which tests containment apart from ``build_dmc``'s support, and each
+        drawn output lies in its input: a support row shifted to another
+        input fails both."""
+        spec = _spec([0.5, 0.3, 0.2], q=q, T=T)
+        dmc = build_dmc(spec)
+        for cell in run_mc(spec, 500, seed=1).cells:
+            u, v = dmc.input_index[cell.input_index], dmc.output_index.subspace_at(cell.output_index)
+            assert cell.expected_prob == transition_prob(spec, u, v)
+            assert cell.count == 0 or contains(u, v)
 
     @pytest.mark.parametrize("T", [3, 4])
     def test_tally_makes_no_lookup_in_the_global_alphabet(self, monkeypatch, T):
