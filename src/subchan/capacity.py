@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _BLOCK
 from .channel import ChannelSpec, Dmc
 from .errors import (
     _SUM_TOLERANCE,
@@ -158,40 +159,45 @@ def symmetric_capacity_from_components(comps) -> float:
     return math.fsum((sel * table[:, 2]).tolist())
 
 
-def _positive_entries(channel) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """COO triplets (rows, cols, vals) of the positive entries of a
-    row-stochastic channel, and its number of inputs.
-
-    A Dmc supplies them from its support index; any other channel is read as
-    a dense 2-D transition matrix.
-    """
+def _slot_law(channel) -> tuple[np.ndarray, np.ndarray, int]:
+    """A row-stochastic channel slot-major: the (|X|, m) output columns of its
+    rows, the law's values broadcast to them, and |Y|.  A Dmc gives its
+    support and slot values and copies nothing; a dense 2-D transition matrix
+    gives the columns 0..|Y|-1 of each row and its rows."""
     if isinstance(channel, Dmc):
-        rows, cols, vals = channel.triplets()
-        n_inputs = channel.num_inputs
+        cols = channel.support
+        vals = np.broadcast_to(channel.values, cols.shape)
+        ny = channel.num_outputs
     else:
-        trans = _real_array("transition matrix", channel, NotRowStochasticError, 2)
-        if not (trans.shape[0] >= 1 and np.all(trans >= 0)):
-            raise NotRowStochasticError(f"transition matrix {trans.shape} has no rows or a negative or NaN entry")
-        rows, cols = np.nonzero(trans)
-        vals = trans[rows, cols]
-        n_inputs = trans.shape[0]
-    sums = np.bincount(rows, weights=vals, minlength=n_inputs)
-    worst = float(np.max(np.abs(sums - 1.0)))
+        vals = _real_array("transition matrix", channel, NotRowStochasticError, 2)
+        if not (vals.shape[0] >= 1 and (vals >= 0).all()):
+            raise NotRowStochasticError(f"transition matrix {vals.shape} has no rows or a negative or NaN entry")
+        ny = vals.shape[1]
+        cols = np.broadcast_to(np.arange(ny), vals.shape)
+    worst = float(np.abs(vals.sum(axis=1) - 1.0).max())
     if not worst <= _SUM_TOLERANCE:
         raise NotRowStochasticError(f"rows must sum to 1 within {_SUM_TOLERANCE}; worst deviation {worst:.3e}")
-    return rows, cols, vals, n_inputs
+    return cols, vals, ny
+
+
+def _divergences(law, p: np.ndarray) -> np.ndarray:
+    """D(W_i || pW) in nats for each row of a ``_slot_law``, with 0 log 0 = 0.
+    Whole slots are read in blocks of about ``_BLOCK`` entries (one slot at
+    least), each adding one ``np.bincount`` to pW and one row sum to the D."""
+    cols, vals, ny = law
+    step = max(1, _BLOCK // len(cols))
+    blocks = [(cols[:, s : s + step], vals[:, s : s + step]) for s in range(0, cols.shape[1], step)]
+    out = sum(np.bincount(c.ravel(), weights=(p[:, None] * v).ravel(), minlength=ny) for c, v in blocks)
+    log_out = np.log(out, out=np.zeros(ny), where=out > 0)
+    return sum((v * (np.log(v, out=np.zeros(v.shape), where=v > 0) - log_out[c])).sum(axis=1) for c, v in blocks)
 
 
 def mutual_information(channel, input_dist, log_base: float = 2.0) -> float:
-    """I(X; Y) = H(Y) - H(Y|X) for a transition matrix (or Dmc) and an input
-    distribution, with the 0 log 0 = 0 convention."""
-    rows, cols, vals, n_inputs = _positive_entries(channel)
-    p = _check_probabilities("input distribution", input_dist, DistributionInvalidError, n_inputs)
-    joint = p[rows] * vals
-    out = np.bincount(cols, weights=joint)
-    active = joint > 0
-    bits = float(joint[active] @ np.log2(vals[active] / out[cols[active]]))
-    return bits / _base_divisor(log_base)
+    """I(X; Y) = sum_x p(x) D(W_x || pW) for a transition matrix (or Dmc) and
+    an input distribution, with the 0 log 0 = 0 convention."""
+    law = _slot_law(channel)
+    p = _check_probabilities("input distribution", input_dist, DistributionInvalidError, len(law[0]))
+    return float(p @ _divergences(law, p)) / math.log(2.0) / _base_divisor(log_base)
 
 
 def blahut_arimoto(
@@ -204,25 +210,20 @@ def blahut_arimoto(
 
     Starts from the uniform input distribution and stops when the standard
     per-iteration upper and lower capacity bounds differ by at most ``tol``
-    (in ``log_base`` units).  Iterates on the positive entries only, so
-    output columns with zero total mass take no part.  Raises
-    NonConvergenceError (carrying the best solution found) if ``max_iters``
-    is hit first.
+    (in ``log_base`` units).  Output columns with zero total mass take no
+    part.  Raises NonConvergenceError (carrying the best solution found) if
+    ``max_iters`` is hit first.
     """
     tol = _check_real("tol", tol, above=0)
     max_iters = _check_int("max_iters", max_iters, 1)
     divisor = _base_divisor(log_base)
-    rows, cols, vals, n_inputs = _positive_entries(channel)
-
-    log_vals = np.log(vals)
+    law = _slot_law(channel)
+    n_inputs = len(law[0])
     p = np.full(n_inputs, 1.0 / n_inputs)
     tol_nats = tol * math.log(2.0) * divisor
 
     for iterations in range(1, max_iters + 1):
-        out = np.bincount(cols, weights=p[rows] * vals)
-        log_out = np.log(np.where(out > 0, out, 1.0))
-        kl = np.bincount(rows, weights=vals * (log_vals - log_out[cols]), minlength=n_inputs)
-        c = np.exp(kl)
+        c = np.exp(_divergences(law, p))
         s = float(p @ c)
         lower = math.log(s)
         upper = math.log(float(c.max()))

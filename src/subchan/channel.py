@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -45,6 +46,9 @@ from .grassmann import (
     GrassmannianIndex,
     Subspace,
     _check_enum_cap,
+    _gaussian_size,
+    _log10_gaussian,
+    _unwritable,
     contains,
     enumerate_grassmannian,
     gaussian_coefficient,
@@ -223,8 +227,10 @@ def alphabet_sizes(spec: ChannelSpec) -> tuple[int, int]:
     (naming both would-be sizes) when either exceeds the cap."""
     _check_type("spec", spec, ChannelSpec)
     q, T, h = spec.field.q, spec.T, spec.h
-    nx = gaussian_coefficient(T, h, q)
-    ny = sum(gaussian_coefficient(T, d, q) for d in range(h + 1))
+    nx = _gaussian_size(T, h, q)
+    logs = [_log10_gaussian(T, d, q) for d in range(h + 1)]
+    log_ny = max(logs) + math.log10(math.fsum(10 ** (x - max(logs)) for x in logs))
+    ny = log_ny if _unwritable(log_ny) else sum(gaussian_coefficient(T, d, q) for d in range(h + 1))
     _check_enum_cap("alphabet sizes |X| = {}, |Y| = {}", nx, ny)
     return nx, ny
 
@@ -305,13 +311,6 @@ class Dmc:
     @property
     def num_outputs(self) -> int:
         return len(self.output_index)
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of the law's positive entries, row-major."""
-        keep = self.values > 0
-        cols = self.support[:, keep]
-        rows = np.repeat(np.arange(self.num_inputs), cols.shape[1])
-        return rows, cols.ravel(), np.tile(self.values[keep], self.num_inputs)
 
     def _rows(self, fmt):
         """Each dense row of the law, in input order, as the list of

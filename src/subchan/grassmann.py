@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -76,18 +77,47 @@ def gaussian_coefficient(n: int, ell: int, q: int) -> int:
     """Number of ell-dimensional subspaces of F_q^n, computed exactly.
 
     prod_{i=0}^{ell-1} (q^{n-i} - 1) / (q^{ell-i} - 1); 0 when ell > n, 1 when
-    ell = 0.  Exact big-integer arithmetic throughout.
+    ell = 0.  Exact big-integer arithmetic throughout, over the fewer factors
+    of ell and n - ell (the coefficient is symmetric in them).
     """
     _factor_prime_power(q, max_size=None)
     n, ell = _check_int("n", n, 0), _check_int("ell", ell, 0)
     if ell > n:
         return 0
+    ell = min(ell, n - ell)
     num = 1
     den = 1
     for i in range(ell):
         num *= q ** (n - i) - 1
         den *= q ** (ell - i) - 1
     return num // den
+
+
+def _log10_gaussian(n: int, ell: int, q: int) -> float:
+    """log10 C(n, ell)_q in O(ell) float steps, without building it:
+    ell (n - ell) log10 q + sum_i [log10(1 - q^-(n-i)) - log10(1 - q^-(ell-i))]."""
+    if ell > n:
+        return -math.inf
+    ell, lq = min(ell, n - ell), math.log(q)
+    terms = (math.log10(-math.expm1(-(n - i) * lq)) - math.log10(-math.expm1(-(ell - i) * lq)) for i in range(ell))
+    return ell * (n - ell) * math.log10(q) + math.fsum(terms)
+
+
+def _unwritable(log10: float) -> bool:
+    """True if a size of this log10 surely has more digits than Python writes
+    as text; a size within a digit of the limit is left to be built."""
+    limit = sys.get_int_max_str_digits()
+    return limit > 0 and log10 > limit + 1
+
+
+def _gaussian_size(n: int, ell: int, q: int) -> int | float:
+    """C(n, ell)_q exactly or, when it has more digits than Python writes as
+    text, its float log10, which ``_size_text`` names without the coefficient
+    being built."""
+    _factor_prime_power(q, max_size=None)
+    n, ell = _check_int("n", n, 0), _check_int("ell", ell, 0)
+    log10 = _log10_gaussian(n, ell, q)
+    return log10 if _unwritable(log10) else gaussian_coefficient(n, ell, q)
 
 
 def count_ordered_bases(h: int, q: int) -> int:
@@ -299,19 +329,23 @@ def _schubert_cells(q: int, ambient_dim: int, dim: int):
 _enumerate_cached = functools.lru_cache(maxsize=64)(GrassmannianIndex)
 
 
-def _size_text(n: int) -> str:
-    """n in decimal, or as a power of ten past Python's int-to-str digit limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"about 10^{math.log10(n):.1f}"
+def _size_text(n: int | float) -> str:
+    """n in decimal, or as a power of ten past Python's int-to-str digit
+    limit; a float n is already the log10 of such a size."""
+    if isinstance(n, int):
+        try:
+            return str(n)
+        except ValueError:
+            n = math.log10(n)
+    return f"about 10^{n:.1f}"
 
 
-def _check_enum_cap(subject: str, *sizes: int) -> None:
+def _check_enum_cap(subject: str, *sizes: int | float) -> None:
     """Raise EnumerationTooLargeError if a size exceeds the enumeration cap in
-    force now, naming each in ``subject``'s ``{}`` fields by ``_size_text``."""
+    force now, naming each in ``subject``'s ``{}`` fields by ``_size_text``.
+    A float size is the log10 of one too long to write, over any cap."""
     cap_val = resolve_enum_cap()
-    if max(sizes) > cap_val:
+    if any(isinstance(n, float) or n > cap_val for n in sizes):
         raise EnumerationTooLargeError(f"{subject.format(*map(_size_text, sizes))}, exceeding the enumeration cap {cap_val}")
 
 
@@ -321,7 +355,7 @@ def _check_grassmannian(field: GF, ambient_dim: int, dim: int) -> tuple[int, int
     _check_type("field", field, GF)
     ambient_dim = _check_int("ambient_dim", ambient_dim, 0)
     dim = _check_int("dim", dim, 0)
-    _check_enum_cap(f"P(F_{field.q}^{ambient_dim}, {dim}) has {{}} subspaces", gaussian_coefficient(ambient_dim, dim, field.q))
+    _check_enum_cap(f"P(F_{field.q}^{ambient_dim}, {dim}) has {{}} subspaces", _gaussian_size(ambient_dim, dim, field.q))
     return ambient_dim, dim
 
 

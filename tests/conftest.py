@@ -8,6 +8,7 @@ tests check the implementation against independent computations.
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -128,13 +129,21 @@ def component_trans(comp) -> np.ndarray:
 
 def dmc_dict(dmc) -> dict:
     """The object the JSON export writes, built independently of its row
-    writer: the export's metadata, and the dense rows of ``triplets()``."""
+    writer: the export's metadata, and the dense rows holding ``values`` at
+    each row's ``support`` columns."""
     from subchan.channel import _dmc_metadata
 
-    rows, cols, vals = dmc.triplets()
     dense = np.zeros((dmc.num_inputs, dmc.num_outputs))
-    dense[rows, cols] = vals
+    dense[np.arange(dmc.num_inputs)[:, None], dmc.support] = dmc.values
     return {**_dmc_metadata(dmc), "transitions": dense.tolist()}
+
+
+def divergences_loops(trans, p) -> list[float]:
+    """Reference for ``capacity._divergences``: D(W_x || pW) in nats for each
+    row of a dense matrix, entry by entry, over the entries with w > 0."""
+    rows = np.asarray(trans, dtype=np.float64).tolist()
+    out = [math.fsum(pi * row[j] for pi, row in zip(p, rows)) for j in range(len(rows[0]))]
+    return [math.fsum(w * math.log(w / out[j]) for j, w in enumerate(row) if w > 0) for row in rows]
 
 
 # Critical values of the chi-square distribution at significance 0.001.

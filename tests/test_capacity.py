@@ -8,9 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import component_trans
+from conftest import component_trans, divergences_loops, traced_peak
+from subchan import capacity
 from subchan.capacity import (
     BaSolution,
+    _divergences,
+    _slot_law,
     blahut_arimoto,
     capacity_closed_form,
     component_capacity,
@@ -390,6 +393,33 @@ class TestSupportIndexEquivalence:
                 assert sparse_sol.iterations == dense_sol.iterations
                 assert abs(sparse_sol.capacity_estimate - dense_sol.capacity_estimate) <= 1e-12
                 assert np.max(np.abs(sparse_sol.input_distribution - dense_sol.input_distribution)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [16384, 13, 1])
+    def test_divergences_match_a_loop_reference(self, monkeypatch, block):
+        """The slot-by-slot pass sums in another order than the loop, so the
+        two agree to rounding: on a dense matrix with zero entries and a
+        zero column, and on a Dmc with a zero-mass deficiency, each read in
+        one block and in blocks of one or two slots."""
+        monkeypatch.setattr(capacity, "_BLOCK", block)
+        rng = np.random.default_rng(26)
+        dense = rng.random((6, 9)) * (rng.random((6, 9)) < 0.6) + np.eye(6, 9)
+        dense[:, 4] = 0.0
+        dense /= dense.sum(axis=1, keepdims=True)
+        dmc = build_dmc(_spec([0.5, 0.0, 0.3, 0.2], T=5, h=3))
+        for chan, trans in ((dense, dense), (dmc, dmc.trans)):
+            p = rng.dirichlet(np.ones(len(trans)))
+            reference = divergences_loops(trans, p)
+            assert np.max(np.abs(_divergences(_slot_law(chan), p) - reference)) <= 1e-12
+            assert abs(mutual_information(chan, p) - math.fsum(p * reference) / math.log(2)) <= 1e-12
+
+    def test_a_dmc_is_read_without_an_expanded_copy(self):
+        """At q2 T7 h3 (11,811 x 14,606, 16 slots a row) the law is 1.5 MB;
+        one BA or MI call over it holds a few |X|- and |Y|-sized arrays, not
+        (row, column, value) arrays of all 188,976 entries."""
+        dmc = build_dmc(_spec([0.4, 0.3, 0.2, 0.1], T=7, h=3))
+        uniform = np.full(dmc.num_inputs, 1 / dmc.num_inputs)
+        assert traced_peak(lambda: blahut_arimoto(dmc)) < 2 << 20
+        assert traced_peak(lambda: mutual_information(dmc, uniform)) < 2 << 20
 
     def test_dmc_rows_are_checked(self):
         dmc = build_dmc(MIXED)

@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, output formats, schema conformance, and
 byte-identical determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from subchan import cli
+from subchan import channel, cli, grassmann
+from subchan.channel import build_dmc
 from subchan.cli import main
 from subchan.errors import NonConvergenceError
 
@@ -257,6 +259,21 @@ class TestMatrix:
         assert code == 0
         assert "rows equal 1.0" in err
 
+    def test_row_sum_audit_catches_a_repeated_column(self, capsys, monkeypatch):
+        """A row listing one output column twice still has slot values that
+        sum to 1, but its exported dense row keeps only one of them."""
+
+        def repeated(spec):
+            dmc = build_dmc(spec)
+            support = dmc.support.copy()
+            support[:, 1] = support[:, 0]
+            return dataclasses.replace(dmc, support=support)
+
+        monkeypatch.setattr(cli, "build_dmc", repeated)
+        code, _, err = _run(capsys, ["matrix", *INLINE, "--audit-row-sums"])
+        assert code == 3
+        assert "row-sum audit failed" in err
+
     def test_json_matches_schema(self, capsys):
         code, out, _ = _run(capsys, ["matrix", *INLINE, "--format", "json"])
         assert code == 0
@@ -453,10 +470,40 @@ class TestOversizedSizes:
         ids=["matrix", "simulate", "count-gauss", "count-bases"],
     )
     def test_exit_2_naming_the_size_as_a_power_of_ten(self, argv, text):
+        self._check_exit_2(argv, text, timeout=60)
+
+    # C(10^7, 2)_2 alone takes seconds to build exactly; its log10 is enough
+    # to reject it.
+    TEN_MILLION = pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "--q", "2", "--T", "10000000", "--h", "2", "--rank-def", "0.5,0.3,0.2"],
+            ["count", "gauss", "--n", "10000000", "--l", "2", "--q", "2"],
+        ],
+        ids=["matrix", "count-gauss"],
+    )
+
+    @TEN_MILLION
+    def test_size_is_rejected_before_it_is_built(self, argv):
+        self._check_exit_2(argv, "about 10^6020599.1", timeout=5)
+
+    @TEN_MILLION
+    def test_no_exact_coefficient_is_built(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError(f"gaussian_coefficient{args} was built")
+
+        for module in (grassmann, channel, cli):
+            monkeypatch.setattr(module, "gaussian_coefficient", refuse, raising=False)
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "about 10^6020599.1" in err
+
+    @staticmethod
+    def _check_exit_2(argv, text, timeout):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run(
-            [sys.executable, "-m", "subchan.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, "-m", "subchan.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
         )
         assert run.returncode == 2 and run.stdout == ""
         assert run.stderr.startswith("error: ") and text in run.stderr and "Traceback" not in run.stderr

@@ -3,6 +3,7 @@ checked against brute-force enumeration oracles."""
 
 import io
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,13 @@ class TestGaussianCoefficient:
         for n in range(7):
             for ell in range(n + 1):
                 assert gaussian_coefficient(n, ell, q) == gaussian_coefficient(n, n - ell, q)
+
+    def test_cost_follows_the_smaller_dimension(self):
+        """C(3000, 2999)_2 = C(3000, 1)_2 is one factor, not 2,999 factors of
+        up to 3,000 bits each (20 s)."""
+        start = time.perf_counter()
+        assert gaussian_coefficient(3000, 2999, 2) == 2**3000 - 1
+        assert time.perf_counter() - start < 1.0
 
     def test_exact_big_integers(self):
         # q = 4, T = 12 overflows 64-bit: must still be exact.

@@ -131,6 +131,10 @@ CASES = {
     "GrassmannianIndex-T-negative": (lambda: GrassmannianIndex(GF(2), -1, 0), InvalidParameterError),
     "GrassmannianIndex-dim-float": (lambda: GrassmannianIndex(GF(2), 3, 2.5), InvalidParameterError),
     "GrassmannianIndex-over-cap": (lambda: GrassmannianIndex(GF(2), 40, 20), EnumerationTooLargeError),
+    # C(10^7, 2)_2 has about 6.0 million digits; the cap rejects it from its
+    # log10 before it is built.
+    "enumerate_grassmannian-T-ten-million": (lambda: enumerate_grassmannian(GF(2), 10**7, 2), EnumerationTooLargeError),
+    "alphabet_sizes-T-ten-million": (lambda: alphabet_sizes(ChannelSpec(GF(2), 10**7, 2, RD)), EnumerationTooLargeError),
     "matmul-None": (lambda: matmul(None, U.basis), InvalidParameterError),
     "rank-None": (lambda: rank(None), InvalidParameterError),
     "rref-None": (lambda: rref(None), InvalidParameterError),
