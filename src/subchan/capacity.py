@@ -163,18 +163,21 @@ def _slot_law(channel) -> tuple[np.ndarray, np.ndarray, int]:
     """A row-stochastic channel slot-major: the (|X|, m) output columns of its
     rows, the law's values broadcast to them, and |Y|.  A Dmc gives its
     support and slot values and copies nothing; a dense 2-D transition matrix
-    gives the columns 0..|Y|-1 of each row and its rows."""
+    gives each row's positive columns in order, padded to the widest row with
+    zero-valued columns, which add nothing to a ``_divergences`` pass."""
     if isinstance(channel, Dmc):
         cols = channel.support
-        vals = np.broadcast_to(channel.values, cols.shape)
+        vals = rows = np.broadcast_to(channel.values, cols.shape)
         ny = channel.num_outputs
     else:
-        vals = _real_array("transition matrix", channel, NotRowStochasticError, 2)
-        if not (vals.shape[0] >= 1 and (vals >= 0).all()):
-            raise NotRowStochasticError(f"transition matrix {vals.shape} has no rows or a negative or NaN entry")
-        ny = vals.shape[1]
-        cols = np.broadcast_to(np.arange(ny), vals.shape)
-    worst = float(np.abs(vals.sum(axis=1) - 1.0).max())
+        rows = _real_array("transition matrix", channel, NotRowStochasticError, 2)
+        if not (rows.shape[0] >= 1 and (rows >= 0).all()):
+            raise NotRowStochasticError(f"transition matrix {rows.shape} has no rows or a negative or NaN entry")
+        ny = rows.shape[1]
+        positive = rows > 0
+        cols = np.argsort(~positive, axis=1, kind="stable")[:, : positive.sum(axis=1).max()]
+        vals = np.take_along_axis(rows, cols, axis=1)
+    worst = float(np.abs(rows.sum(axis=1) - 1.0).max())
     if not worst <= _SUM_TOLERANCE:
         raise NotRowStochasticError(f"rows must sum to 1 within {_SUM_TOLERANCE}; worst deviation {worst:.3e}")
     return cols, vals, ny

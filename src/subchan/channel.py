@@ -77,7 +77,7 @@ __all__ = [
     "transition_prob",
 ]
 
-# Uses per chunk of _draw_uses; part of the seeded stream's definition.  Also the
+# Uses per chunk of _draw_deficiencies; part of the seeded stream's definition.  Also the
 # most k x h matrices whose slots ``_frame`` tabulates.
 _CHUNK = 65_536
 
@@ -229,7 +229,8 @@ def alphabet_sizes(spec: ChannelSpec) -> tuple[int, int]:
     q, T, h = spec.field.q, spec.T, spec.h
     nx = _gaussian_size(T, h, q)
     logs = [_log10_gaussian(T, d, q) for d in range(h + 1)]
-    log_ny = max(logs) + math.log10(math.fsum(10 ** (x - max(logs)) for x in logs))
+    top = max(logs)  # inf past the float range, where inf - inf would be nan
+    log_ny = top + math.log10(math.fsum(10 ** (x - top) if x < top else 1.0 for x in logs))
     ny = log_ny if _unwritable(log_ny) else sum(gaussian_coefficient(T, d, q) for d in range(h + 1))
     _check_enum_cap("alphabet sizes |X| = {}, |Y| = {}", nx, ny)
     return nx, ny
@@ -381,35 +382,24 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     return Dmc(spec, input_index, output_index, support, values, component)
 
 
-def _deficiency_counts(probs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The int64 count, for each deficiency d = 0..h, of the uniforms in ``x``
-    whose deficiency is d: the count of entries of the cdf ``cumsum(probs)`` but
-    its last that are <= the uniform.  The uniforms at or past entry d - 1
-    less those at or past entry d are the count of d."""
-    at_or_past = [len(x)] + [np.count_nonzero(x >= c) for c in np.cumsum(probs)[:-1].tolist()] + [0]
-    return -np.diff(np.array(at_or_past, dtype=np.int64))
+def _deficiency_counts(cdf: list[float], x: np.ndarray) -> list[int]:
+    """The count, for each deficiency d = 0..h, of the uniforms in ``x`` whose
+    deficiency is d, from ``cdf``, the entries of ``cumsum(probs)`` but its last:
+    the uniforms at or past entry d - 1 less those at or past entry d."""
+    at_or_past = [len(x)] + [int(np.count_nonzero(x >= c)) for c in cdf] + [0]
+    return [a - b for a, b in zip(at_or_past, at_or_past[1:])]
 
 
-def _draw_deficiencies(spec: ChannelSpec, draws: int, rng: np.random.Generator):
-    """The deficiency counts of ``draws`` uses, one (h + 1,) vector per chunk of
+def _draw_deficiencies(cdf: list[float], draws: int, rng: np.random.Generator):
+    """The deficiency counts of ``draws`` uses, one list of h + 1 ints per chunk of
     n <= 65,536 uniforms ``rng.random(n)``: a use's deficiency is the count of
     entries of the cdf ``cumsum(rank_def.probs)`` that are <= its uniform x.  The
     cdf is monotone, so this equals ``searchsorted(cdf, x, side="right")``
-    clamped to h; ``_deficiency_counts`` leaves out the cdf's last entry, which
-    is the clamp.  No use's own deficiency is kept."""
+    clamped to h, the clamp being the last entry, which ``cdf`` leaves out.  No
+    use's own deficiency is kept."""
     _check_type("rng", rng, np.random.Generator)
     for start in range(0, draws, _CHUNK):
-        yield _deficiency_counts(spec.rank_def.probs, rng.random(min(_CHUNK, draws - start)))
-
-
-def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
-    """The seeded stream of ``draws`` uses, per chunk ``(counts, kept)``: the count of its uses
-    of each deficiency, then for each d = 1..h-1 in order ``kept[d]``, the kept selector rows of
-    its ``counts[d]`` uses of deficiency d as a uniform full-rank (counts[d], h - d, h) batch.
-    Nothing is drawn for d = 0 or d = h."""
-    f, h = spec.field, spec.h
-    for counts in _draw_deficiencies(spec, draws, rng):
-        yield counts, {d: sample_full_rank_batch(f, h - d, h, counts[d], rng) for d in range(1, h)}
+        yield _deficiency_counts(cdf, rng.random(min(_CHUNK, draws - start)))
 
 
 def _slot_table(field: GF, k: int, h: int) -> np.ndarray:
@@ -433,6 +423,43 @@ def _frame(field: GF, h: int) -> tuple[OutputAlphabet, dict[int, np.ndarray]]:
     return frame, {k: _slot_table(field, k, h) for k in range(1, h) if field.q ** (k * h) <= _CHUNK}
 
 
+def _plan(spec: ChannelSpec) -> tuple:
+    """What ``_tally`` reads of ``spec``, checked against the cap in force now: the
+    field, h, the frame's slot count, the cdf but its last entry, and per d = 1..h-1
+    (d, k = h - d, the k x h slot table or None, the slots lo:hi of dimension k, P(F_q^h, k))."""
+    f, h = spec.field, spec.h
+    frame, slot_tables = _frame(f, h)
+    for d, block in enumerate(frame.blocks):
+        _check_enum_cap(f"P(F_{f.q}^{h}, {d}) has {{}} subspaces", len(block))
+    kept = [(d, h - d, slot_tables.get(h - d), *frame.offsets[h - d : h - d + 2], frame.blocks[h - d]) for d in range(1, h)]
+    return f, h, len(frame), np.cumsum(spec.rank_def.probs)[:-1].tolist(), kept
+
+
+def _tally(plan: tuple, draws: int, rng: np.random.Generator) -> np.ndarray:
+    """``simulate_frame`` on a ``_plan``.  Per chunk, d = 0 and d = h add their
+    counts to the last slot and slot 0; then for each d = 1..h-1 in order one
+    ``sample_full_rank_batch`` draws the kept rows, whose slots are read from the
+    slot table at each matrix's code (its row-major entries as base-q digits, by
+    Horner) or, without a table, by one ``rref_batch`` call and one ranking."""
+    f, h, width, cdf, kept = plan
+    tally = np.zeros(width, dtype=np.int64)
+    for counts in _draw_deficiencies(cdf, draws, rng):
+        tally[0] += counts[h]
+        tally[-1] += counts[0]
+        for d, k, table, lo, hi, block in kept:
+            rows = sample_full_rank_batch(f, k, h, counts[d], rng)
+            if table is None:
+                slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
+            else:
+                digits = rows.reshape(len(rows), k * h).T
+                code = digits[0].astype(np.intp)
+                for column in digits[1:]:
+                    code = code * f.q + column
+                slots = table[code]
+            tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
+    return tally
+
+
 def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> np.ndarray:
     """Tally of ``draws`` uses of any input u, in the frame of its canonical
     basis B_u: the int64 count of each slot of a ``Dmc.support`` row.
@@ -440,43 +467,23 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     A use of deficiency 0 < d < h outputs R B_u, R the RREF of its kept rows,
     and its slot is R's position among the subspaces of F_q^h (the order of
     ``subspaces_of_batch``); d = 0 outputs u (the last slot) and d = h the zero
-    space (slot 0).  A chunk of ``_draw_uses`` yields counts, so the slots of
-    d = 0 and d = h take its counts; memory is bounded by one chunk.  Kept rows
-    of a shape k x h with q^(k h) <= ``_CHUNK`` are looked up by their code in
-    the cached ``_slot_table``; larger shapes take one ``rref_batch`` call and
-    one lookup per deficiency and chunk.
+    space (slot 0).  This is ``_tally`` on the call's ``_plan``.
     """
     _check_type("spec", spec, ChannelSpec)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
-    f, h = spec.field, spec.h
-    tables = (f.add_table, f.mul_table, f.inv_table, f.neg_table)
-    frame, slot_tables = _frame(f, h)
-    for d, block in enumerate(frame.blocks):
-        _check_enum_cap(f"P(F_{f.q}^{h}, {d}) has {{}} subspaces", len(block))
-    tally = np.zeros(len(frame), dtype=np.int64)
-    for counts, kept in _draw_uses(spec, draws, rng):
-        tally[[0, -1]] += counts[[h, 0]]
-        for d, rows in kept.items():
-            k = h - d
-            if k in slot_tables:  # a code is below q^(k h) <= 2^16, so uint16 holds it
-                codes = rows.reshape(len(rows), k * h) @ f.q ** np.arange(k * h - 1, -1, -1, dtype=np.uint16)
-                slots = slot_tables[k][codes]
-            else:
-                slots = frame.blocks[k].indices(_kernels.rref_batch(rows, *tables)[0])
-            lo, hi = frame.offsets[k : k + 2]
-            tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
-    return tally
+    return _tally(_plan(spec), draws, rng)
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One channel use of input u, from one draw of ``_draw_uses``: d is the one
-    nonzero count, and the output the span of ``kept[d]`` B_u, or of I_h B_u = u
-    at d = 0 and of no row at d = h."""
+    """One channel use of input u, one draw of the stream: d is its deficiency,
+    and the output the span of K B_u, K the full-rank (h - d) x h kept rows, or
+    u at d = 0, where nothing more is drawn."""
     _check_input_subspace(spec, u)
-    ((counts, kept),) = _draw_uses(spec, 1, rng)
-    d = int(counts.argmax())
-    rows = kept.get(d, np.eye(spec.h, dtype=np.uint8)[None, : spec.h - d])[0]
-    return span(matmul(Mat(spec.field, rows), u.basis))
+    f, h = spec.field, spec.h
+    (counts,) = _draw_deficiencies(np.cumsum(spec.rank_def.probs)[:-1].tolist(), 1, rng)
+    d = counts.index(1)
+    rows = np.eye(h, dtype=np.uint8) if d == 0 else sample_full_rank_batch(f, h - d, h, 1, rng)[0]
+    return span(matmul(Mat(f, rows), u.basis))
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,12 +95,16 @@ def gaussian_coefficient(n: int, ell: int, q: int) -> int:
 
 def _log10_gaussian(n: int, ell: int, q: int) -> float:
     """log10 C(n, ell)_q in O(ell) float steps, without building it:
-    ell (n - ell) log10 q + sum_i [log10(1 - q^-(n-i)) - log10(1 - q^-(ell-i))]."""
+    ell (n - ell) log10 q + sum_i [log10(1 - q^-(n-i)) - log10(1 - q^-(ell-i))],
+    or inf when n is past the float range."""
     if ell > n:
         return -math.inf
     ell, lq = min(ell, n - ell), math.log(q)
     terms = (math.log10(-math.expm1(-(n - i) * lq)) - math.log10(-math.expm1(-(ell - i) * lq)) for i in range(ell))
-    return ell * (n - ell) * math.log10(q) + math.fsum(terms)
+    try:
+        return ell * (n - ell) * math.log10(q) + math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _unwritable(log10: float) -> bool:

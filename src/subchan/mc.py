@@ -1,17 +1,17 @@
 """Monte Carlo verification harness for the subspace channel.
 
-Runs batches of channel uses per input subspace u through
-``channel.simulate_frame``, in u's own frame: a use outputs R B_u, and
-``simulate_frame`` returns the count of each slot of u's row of
-``Dmc.support``, so the harness holds one tally per input and nothing per
-draw.  It scores the empirical frequencies against the analytical transition
-law under the binomial model; a draw in a slot of zero mass is an
-off-support hit.  The pipeline reads only how many uses have each rank
-deficiency, so it draws and eliminates nothing else.
+Runs batches of channel uses per input subspace u in u's own frame, where a
+use outputs R B_u: one ``channel._plan`` per call, then per input its
+``_tally`` (``simulate_frame`` for one input), the count of each slot of u's
+row of ``Dmc.support``, so the harness holds nothing per draw.  It scores the
+empirical frequencies against the analytical transition law under the
+binomial model; a draw in a slot of zero mass is an off-support hit.  The
+pipeline reads only how many uses have each rank deficiency, so it draws and
+eliminates nothing else.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
-is consumed in the fixed order ``channel._draw_uses`` defines: draws run in
+is consumed in the fixed order ``channel._tally`` defines: draws run in
 consecutive chunks of 65,536; each chunk draws one uniform per use, whose
 deficiency is the count of cdf entries <= it (equal to
 ``searchsorted(cdf, x, side="right")`` clamped to h), and keeps only the count of
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityReport, capacity_closed_form
-from .channel import ChannelSpec, RankDefDist, _draw_deficiencies, build_dmc, channel_spec_to_dict, simulate_frame
+from .channel import ChannelSpec, RankDefDist, _draw_deficiencies, _plan, _tally, build_dmc, channel_spec_to_dict
 from .errors import InsufficientDataError, _check_int, _check_real, _check_type
 
 __all__ = [
@@ -104,8 +104,9 @@ def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     output_labels = dmc.output_index.labels()
 
     values = dmc.values.tolist()
+    plan = _plan(spec)
     for i in range(dmc.num_inputs):
-        tally = simulate_frame(spec, n, _substream(seed, i)).tolist()
+        tally = _tally(plan, n, _substream(seed, i)).tolist()
         for j, p, cnt in sorted(zip(dmc.support[i].tolist(), values, tally)):
             if p == 0.0 and cnt == 0:
                 continue
@@ -148,7 +149,8 @@ def empirical_capacity_pipeline(
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
     log_base = _check_real("log base", log_base, above=1)
-    counts = sum(_draw_deficiencies(spec, draws, _substream(seed, 0)))
+    cdf = np.cumsum(spec.rank_def.probs)[:-1].tolist()
+    counts = np.sum([*_draw_deficiencies(cdf, draws, _substream(seed, 0))], axis=0)
     est = RankDefDist(spec.h, counts / draws)
     report = PipelineReport(
         estimated_dist=est,

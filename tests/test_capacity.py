@@ -412,6 +412,30 @@ class TestSupportIndexEquivalence:
             assert np.max(np.abs(_divergences(_slot_law(chan), p) - reference)) <= 1e-12
             assert abs(mutual_information(chan, p) - math.fsum(p * reference) / math.log(2)) <= 1e-12
 
+    def test_a_dense_matrix_is_read_by_its_positive_entries(self):
+        """A dense row gives its positive columns in order, padded to the
+        widest row with zero-valued columns.  The dense q2 T6 h3 law with 3
+        inputs repeated (1,398 x 2,110) is 16 slots wide, as its Dmc, and BA
+        and MI on it agree with a Dmc holding the same repeated rows."""
+        dmc = build_dmc(_spec([0.4, 0.3, 0.2, 0.1], T=6, h=3))
+        support = np.vstack([dmc.support, dmc.support[:3]])
+        repeated = type(dmc)(dmc.spec, dmc.input_index, dmc.output_index, support, dmc.values, dmc.component_of_output)
+        dense = np.vstack([dmc.trans, dmc.trans[:3]])
+        cols, vals, ny = _slot_law(dense)
+        assert cols.shape == (1398, 16) and ny == 2110
+        assert np.array_equal(cols, np.sort(support, axis=1))
+        assert np.array_equal(vals, np.take_along_axis(dense, cols, axis=1)) and (vals > 0).all()
+        p = np.random.default_rng(27).dirichlet(np.ones(len(dense)))
+        assert abs(mutual_information(repeated, p) - mutual_information(dense, p)) <= 1e-12
+        sparse_sol, dense_sol = blahut_arimoto(repeated), blahut_arimoto(dense)
+        assert sparse_sol.iterations == dense_sol.iterations > 1
+        assert abs(sparse_sol.capacity_estimate - dense_sol.capacity_estimate) <= 1e-12
+        assert np.max(np.abs(sparse_sol.input_distribution - dense_sol.input_distribution)) <= 1e-12
+
+    def test_a_narrower_dense_row_is_padded_with_zero_valued_columns(self):
+        cols, vals, ny = _slot_law(np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]))
+        assert cols.tolist() == [[0, 2], [2, 0]] and vals.tolist() == [[0.5, 0.5], [1.0, 0.0]] and ny == 3
+
     def test_a_dmc_is_read_without_an_expanded_copy(self):
         """At q2 T7 h3 (11,811 x 14,606, 16 slots a row) the law is 1.5 MB;
         one BA or MI call over it holds a few |X|- and |Y|-sized arrays, not

@@ -498,6 +498,19 @@ class TestOversizedSizes:
         assert code == 2 and out == ""
         assert "about 10^6020599.1" in err
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["matrix", "--q", "2", "--T", "1" + "0" * 400, "--h", "2", "--rank-def", "0.5,0.3,0.2"],
+             "alphabet sizes |X| = about 10^inf, |Y| = about 10^inf, exceeding"),
+            (["count", "gauss", "--n", "1" + "0" * 400, "--l", "2", "--q", "2"], "the count is about 10^inf"),
+        ],
+        ids=["matrix", "count-gauss"],
+    )
+    def test_a_size_past_the_float_range_is_about_ten_to_the_inf(self, argv, text):
+        """10^400 does not convert to a float: its log10 is infinite."""
+        self._check_exit_2(argv, text, timeout=5)
+
     @staticmethod
     def _check_exit_2(argv, text, timeout):
         src = str(Path(cli.__file__).resolve().parents[1])

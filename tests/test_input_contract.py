@@ -135,6 +135,9 @@ CASES = {
     # log10 before it is built.
     "enumerate_grassmannian-T-ten-million": (lambda: enumerate_grassmannian(GF(2), 10**7, 2), EnumerationTooLargeError),
     "alphabet_sizes-T-ten-million": (lambda: alphabet_sizes(ChannelSpec(GF(2), 10**7, 2, RD)), EnumerationTooLargeError),
+    # Past the float range the size's log10 is infinite, not an OverflowError.
+    "enumerate_grassmannian-T-past-float": (lambda: enumerate_grassmannian(GF(2), 10**400, 2), EnumerationTooLargeError),
+    "alphabet_sizes-T-past-float": (lambda: alphabet_sizes(ChannelSpec(GF(2), 10**400, 2, RD)), EnumerationTooLargeError),
     "matmul-None": (lambda: matmul(None, U.basis), InvalidParameterError),
     "rank-None": (lambda: rank(None), InvalidParameterError),
     "rref-None": (lambda: rref(None), InvalidParameterError),

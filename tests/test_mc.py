@@ -7,6 +7,7 @@ z-score threshold (4 on the large runs, 5 on the small multi-seed grid)
 keeps the false-alarm probability per suite below one percent.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 
 from conftest import traced_peak
 from subchan import _kernels, grassmann, mc
-from subchan.channel import ChannelSpec, RankDefDist, build_dmc, transition_prob
+from subchan.channel import ChannelSpec, RankDefDist, build_dmc, simulate_frame, transition_prob
 from subchan.errors import InsufficientDataError, InvalidParameterError, SubchanError
 from subchan.gf import GF
 from subchan.grassmann import GrassmannianIndex, contains
@@ -81,15 +82,15 @@ class TestRunMcStructure:
         """The channel never draws a slot of zero mass, so this path needs a
         faked tally: one use of every input moves from F_q^h (the last slot)
         to the zero space (slot 0), which this law never outputs."""
-        simulate_frame = mc.simulate_frame
+        tally_of = mc._tally
 
-        def one_use_in_the_zero_space(spec, draws, rng):
-            tally = simulate_frame(spec, draws, rng)
+        def one_use_in_the_zero_space(plan, draws, rng):
+            tally = tally_of(plan, draws, rng)
             tally[-1] -= 1
             tally[0] += 1
             return tally
 
-        monkeypatch.setattr(mc, "simulate_frame", one_use_in_the_zero_space)
+        monkeypatch.setattr(mc, "_tally", one_use_in_the_zero_space)
         report = run_mc(_spec([0.5, 0.5, 0]), 200, seed=2)
         assert report.off_support_hits == 7
         assert report.worst_z_score == math.inf
@@ -190,6 +191,50 @@ class TestRunMcDeterminism:
         a = run_mc(MIXED, 1000, seed=11)
         b = run_mc(MIXED, 1000, seed=12)
         assert mc_report_to_dict(a) != mc_report_to_dict(b)
+
+    def test_the_benchmark_call_is_pinned(self, monkeypatch):
+        """The benchmark's ``mc_gf2`` call, q2 T4 h2 at 10,000 draws and seed 1:
+        its report, and after a warm call the sampler's ``rank_batch`` calls,
+        one round of 1 x 2 candidates per input, whose totals the benchmark
+        reads as its rejection metrics."""
+        spec = _spec([0.5, 0.3, 0.2], T=4)
+        run_mc(spec, 20, 1)
+        calls = []
+        rank_batch = _kernels.rank_batch
+
+        def spy(mats, *tables):
+            ranks = rank_batch(mats, *tables)
+            calls.append((mats.shape, int(np.count_nonzero(ranks == 1))))
+            return ranks
+
+        monkeypatch.setattr(_kernels, "rank_batch", spy)
+        text = json.dumps(mc_report_to_dict(run_mc(spec, 10_000, 1)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a6e47a529529baf707d67c8fc3111b8977a2974898ecff84b78cdd2e8c84d6a2"
+        )
+        assert len(calls) == 35 and {shape[1:] for shape, _full in calls} == {(1, 2)}
+        assert sum(shape[0] for shape, _full in calls) == 153_409
+        assert sum(full for _shape, full in calls) == 115_040
+
+    @pytest.mark.parametrize(
+        "spec, draws",
+        [
+            (_spec([0.5, 0.3, 0.2], T=4), 10_000),
+            (_spec([0.2] * 5, q=3, T=4, h=4), 2000),
+            (MIXED, 70_000),
+            (_spec([0.5, 0.0, 0.25, 0.25], T=4, h=3), 2000),
+        ],
+        ids=["q2-T4-h2", "q3-T4-h4", "q2-T3-h2-two-chunks", "zero-mass-class"],
+    )
+    def test_each_input_is_simulate_frame_on_its_substream(self, spec, draws):
+        """``run_mc`` tallies input i as ``simulate_frame`` does on substream i:
+        one implementation of the tally."""
+        dmc = build_dmc(spec)
+        expected = {}
+        for i in range(dmc.num_inputs):
+            tally = simulate_frame(spec, draws, mc._substream(5, i))
+            expected.update({(i, j): c for j, c in zip(dmc.support[i].tolist(), tally.tolist()) if c})
+        assert run_mc(spec, draws, 5).empirical == expected
 
 
 class TestRunMcStatistics:
