@@ -4,6 +4,10 @@ Three batched kernels carry every matrix computation of the package:
 ``matmul_batch``, ``rank_batch`` and ``rref_batch``.  Rank and RREF share
 one Gaussian elimination, which reduces above the pivots only for RREF.
 Each runs its batch in blocks of ``_BLOCK`` matrices, which bounds memory.
+A nonempty shape with at most 6 columns and q^(rows cols) no more than the
+batch or one block reads its ranks from a rank table at each matrix's code
+(``codes``): the ranks of ``every_matrix`` of the shape, eliminated once per
+(q, rows, cols) by the first such call and kept read-only.
 
 Over GF(2^k), a matrix with 1 to 64 columns is bit-sliced as in M4RIE
 (Albrecht, ISSAC 2012): a row is k ``uint64`` planes, plane j holding bit j
@@ -33,6 +37,8 @@ BACKEND = "numpy"
 
 
 _BLOCK = 16384
+# Rank tables by (q, rows, cols), each read-only: GF(q) has one instance, so q fixes the operation tables.
+_RANKS = {}
 
 
 def _plane_count(add_t, cols):
@@ -185,9 +191,31 @@ def _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, full):
     return rs, ranks
 
 
+def codes(mats, q):
+    """Each matrix's row-major entries as base-q digits, the first the most significant, by Horner in intp."""
+    digits = mats.reshape(len(mats), mats.shape[1] * mats.shape[2]).T
+    code = digits[0].astype(np.intp)
+    for column in digits[1:]:
+        code *= q
+        code += column
+    return code
+
+
+def every_matrix(q, rows, cols):
+    """Every rows x cols matrix over GF(q), in code order."""
+    return np.indices((q,) * (rows * cols), dtype=np.uint8).reshape(rows * cols, -1).T.reshape(-1, rows, cols)
+
+
 def rank_batch(mats, add_t, mul_t, inv_t, neg_t):
-    """Rank of each matrix of a (nmat, rows, cols) stack, as int64."""
-    return _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, False)[1]
+    """Rank of each matrix of a (nmat, rows, cols) stack, as int64; for a small
+    shape, read from its rank table at each matrix's code (module docstring)."""
+    q, (nmat, rows, cols) = len(add_t), mats.shape
+    if not (0 < rows * cols and cols <= 6 and q ** (rows * cols) <= min(nmat, _BLOCK)):
+        return _eliminate_batch(mats, add_t, mul_t, inv_t, neg_t, False)[1]
+    if (q, rows, cols) not in _RANKS:
+        _RANKS[q, rows, cols] = _eliminate_batch(every_matrix(q, rows, cols), add_t, mul_t, inv_t, neg_t, False)[1]
+        _RANKS[q, rows, cols].setflags(write=False)
+    return _RANKS[q, rows, cols][codes(mats, q)]
 
 
 def rref_batch(mats, add_t, mul_t, inv_t, neg_t):

@@ -404,9 +404,9 @@ def _draw_deficiencies(cdf: list[float], draws: int, rng: np.random.Generator):
 
 def _slot_table(field: GF, k: int, h: int) -> np.ndarray:
     """The slot in ``enumerate_grassmannian(field, h, k)`` of the row space of
-    each k x h matrix, or -1 below rank k, at the matrix's code: its row-major
-    entries as base-q digits, the first the most significant."""
-    mats = np.indices((field.q,) * (k * h), dtype=np.uint8).reshape(k * h, -1).T.reshape(-1, k, h)
+    each k x h matrix, or -1 below rank k, at the matrix's ``_kernels.codes``
+    code: its row-major entries as base-q digits, the first the most significant."""
+    mats = _kernels.every_matrix(field.q, k, h)
     canon, ranks = _kernels.rref_batch(mats, field.add_table, field.mul_table, field.inv_table, field.neg_table)
     del mats  # the digits and the rank-deficient RREFs go before the lookup's temporaries
     canon = canon[ranks == k]
@@ -439,8 +439,8 @@ def _tally(plan: tuple, draws: int, rng: np.random.Generator) -> np.ndarray:
     """``simulate_frame`` on a ``_plan``.  Per chunk, d = 0 and d = h add their
     counts to the last slot and slot 0; then for each d = 1..h-1 in order one
     ``sample_full_rank_batch`` draws the kept rows, whose slots are read from the
-    slot table at each matrix's code (its row-major entries as base-q digits, by
-    Horner) or, without a table, by one ``rref_batch`` call and one ranking."""
+    slot table at each matrix's ``_kernels.codes`` code or, without a table, by
+    one ``rref_batch`` call and one ranking."""
     f, h, width, cdf, kept = plan
     tally = np.zeros(width, dtype=np.int64)
     for counts in _draw_deficiencies(cdf, draws, rng):
@@ -451,11 +451,7 @@ def _tally(plan: tuple, draws: int, rng: np.random.Generator) -> np.ndarray:
             if table is None:
                 slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
             else:
-                digits = rows.reshape(len(rows), k * h).T
-                code = digits[0].astype(np.intp)
-                for column in digits[1:]:
-                    code = code * f.q + column
-                slots = table[code]
+                slots = table[_kernels.codes(rows, f.q)]
             tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
     return tally
 

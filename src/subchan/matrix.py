@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatchError, FieldMismatchError, InvalidParameterError, _check_type
+from .errors import DimensionMismatchError, FieldMismatchError, InvalidParameterError, _check_int, _check_type
 from .gf import GF
 
 __all__ = [
@@ -114,10 +114,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 def rank(m: Mat) -> int:
     f = _check_type("m", m, Mat).field
-    ranks = _kernels.rank_batch(
-        m.array[None, :, :], f.add_table, f.mul_table, f.inv_table, f.neg_table
-    )
-    return int(ranks[0])
+    return int(_kernels.rank_batch(m.array[None], f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
 
 
 def sample_full_rank_batch(field: GF, n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,23 +123,23 @@ def sample_full_rank_batch(field: GF, n: int, m: int, count: int, rng: np.random
     a = prod_{i=0}^{k-1} (1 - q^{i - K}), k = min(n, m), K = max(n, m), at least
     ~0.288 at q = 2.  Each round draws 10% more than the missing count over a,
     plus 8, and keeps the first full-rank candidates in order, so a call almost
-    always takes one round."""
+    always takes one round, whose kept candidates are returned uncopied."""
+    _check_type("field", field, GF)
+    n = _check_int("n", n, 0, DimensionMismatchError)
+    m = _check_int("m", m, 0, DimensionMismatchError)
+    count = _check_int("count", count, 0)
     _check_type("rng", rng, np.random.Generator)
-    if n < 0 or m < 0:
-        raise DimensionMismatchError("negative matrix dimension")
-    out = np.zeros((count, n, m), dtype=np.uint8)
     target, big = min(n, m), max(n, m)
     if count == 0 or target == 0:
-        return out
+        return np.zeros((count, n, m), dtype=np.uint8)
     tables = (field.add_table, field.mul_table, field.inv_table, field.neg_table)
     accept = math.prod(1.0 - float(field.q) ** (i - big) for i in range(target))
-    filled = 0
-    while (missing := count - filled) > 0:
+    rounds, missing = [], count
+    while missing > 0:
         cand = rng.integers(0, field.q, size=(math.ceil(1.1 * missing / accept) + 8, n, m), dtype=np.uint8)
-        good = np.compress(_kernels.rank_batch(cand, *tables) == target, cand, axis=0)[:missing]
-        out[filled : filled + len(good)] = good
-        filled += len(good)
-    return out
+        rounds.append(np.compress(_kernels.rank_batch(cand, *tables) == target, cand, axis=0)[:missing])
+        missing -= len(rounds[-1])
+    return rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
 
 
 def sample_full_rank(field: GF, n: int, m: int, rng: np.random.Generator) -> Mat:

@@ -37,6 +37,7 @@ from subchan.channel import (
     transition_prob,
 )
 from subchan.errors import (
+    DimensionMismatchError,
     DistributionInvalidError,
     EnumerationTooLargeError,
     InvalidParameterError,
@@ -53,7 +54,7 @@ from subchan.grassmann import (
     random_ordered_basis,
     span,
 )
-from subchan.matrix import Mat, matmul, rank, rref
+from subchan.matrix import Mat, matmul, rank, rref, sample_full_rank, sample_full_rank_batch
 from subchan.mc import empirical_capacity_pipeline, run_mc
 
 RD = RankDefDist(2, [0.5, 0.3, 0.2])
@@ -141,6 +142,19 @@ CASES = {
     "matmul-None": (lambda: matmul(None, U.basis), InvalidParameterError),
     "rank-None": (lambda: rank(None), InvalidParameterError),
     "rref-None": (lambda: rref(None), InvalidParameterError),
+    "sample_full_rank-field-int": (lambda: sample_full_rank(2, 2, 2, np.random.default_rng(0)), InvalidParameterError),
+    "sample_full_rank-n-float": (lambda: sample_full_rank(GF(2), 2, 2.0, np.random.default_rng(0)), InvalidParameterError),
+    "sample_full_rank-n-bool": (lambda: sample_full_rank(GF(2), True, 2, np.random.default_rng(0)), InvalidParameterError),
+    "sample_full_rank-n-str": (lambda: sample_full_rank(GF(2), "2", 2, np.random.default_rng(0)), InvalidParameterError),
+    "sample_full_rank-n-negative": (lambda: sample_full_rank(GF(2), -1, 2, np.random.default_rng(0)), DimensionMismatchError),
+    "sample_full_rank_batch-count-negative": (
+        lambda: sample_full_rank_batch(GF(2), 2, 2, -1, np.random.default_rng(0)),
+        InvalidParameterError,
+    ),
+    "sample_full_rank_batch-count-float": (
+        lambda: sample_full_rank_batch(GF(2), 2, 2, 1.0, np.random.default_rng(0)),
+        InvalidParameterError,
+    ),
 }
 
 

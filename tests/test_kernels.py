@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import eliminate_batch_loops, matmul_batch_loops, traced_peak
+from conftest import all_matrices, eliminate_batch_loops, matmul_batch_loops, traced_peak
 from subchan import _kernels
 from subchan.channel import ChannelSpec, RankDefDist
 from subchan.gf import GF
+from subchan.grassmann import contains, span
+from subchan.matrix import Mat, rank
 from subchan.mc import empirical_capacity_pipeline, mc_report_to_dict, run_mc
 
 FIELDS = [2, 3, 4, 5, 9]
@@ -207,7 +209,102 @@ def test_blocks_do_not_reenter_the_public_kernels(monkeypatch, q):
     _kernels.rank_batch(mats, *tables)
     _kernels.rref_batch(mats, *tables)
     _kernels.matmul_batch(mats[:, :, :2], mats, *tables[:2])
-    assert calls == ["rank_batch", "rref_batch", "matmul_batch"]
+    # A cold 1 x 1 rank table (q <= 4 entries, one block) is built by the
+    # elimination, not by a second rank_batch call.
+    monkeypatch.setattr(_kernels, "_RANKS", {})
+    _kernels.rank_batch(mats[:, :1, :1], *tables)
+    assert calls == ["rank_batch", "rref_batch", "matmul_batch", "rank_batch"]
+    assert list(_kernels._RANKS) == [(q, 1, 1)]
+
+
+# Every nonempty shape that reads a rank table, at the fields of the package's
+# tests: at most 6 columns and at most one block of entries.
+TABLE_SHAPES = [
+    (q, rows, cols)
+    for q in (2, 3, 4, 5, 7, 8, 16, 256)
+    for cols in range(1, 7)
+    for rows in range(1, 15)
+    if q ** (rows * cols) <= _kernels._BLOCK
+]
+
+
+def _matrix_at(q, rows, cols, code):
+    """The matrix of a code, its base-q digits written out most significant first."""
+    digits = [(int(code) // q**i) % q for i in reversed(range(rows * cols))]
+    return np.array(digits, dtype=np.uint8).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("q, rows, cols", TABLE_SHAPES)
+def test_rank_table_matches_reference_loops(monkeypatch, q, rows, cols):
+    """A cold table, built by the reduce-below-pivots elimination, holds the
+    reference rank of every matrix in code order (the lexicographic order of
+    ``all_matrices``), read-only int64; a batch over every matrix reads it back.
+    Tables of more than 4,096 entries are checked on a random sample of codes."""
+    monkeypatch.setattr(_kernels, "_RANKS", {})
+    tables = _tables(q)
+    size = q ** (rows * cols)
+    mats = _kernels.every_matrix(q, rows, cols)
+    if size <= 4096:
+        assert np.array_equal(mats, np.array(list(all_matrices(q, rows, cols)), dtype=np.uint8).reshape(size, rows, cols))
+        sample = np.arange(size)
+    else:
+        sample = np.random.default_rng(size).choice(size, 400, replace=False)
+        assert np.array_equal(mats[sample], [_matrix_at(q, rows, cols, c) for c in sample])
+    assert np.array_equal(_kernels.codes(mats, q), np.arange(size))
+    ranks = _kernels.rank_batch(mats, *tables)
+    table = _kernels._RANKS[q, rows, cols]
+    assert table.dtype == np.int64 and ranks.dtype == np.int64
+    assert not table.flags.writeable and ranks.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+    ref = _ref_rank_batch(mats[sample], *tables)
+    assert np.array_equal(table[sample], ref)
+    assert np.array_equal(ranks[sample], ref)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes_rank_zero(monkeypatch, q, shape):
+    monkeypatch.setattr(_kernels, "_RANKS", {})
+    ranks = _kernels.rank_batch(np.zeros((5, *shape), dtype=np.uint8), *_tables(q))
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, np.zeros(5))
+    assert _kernels.rank_batch(np.zeros((0, 1, 2), dtype=np.uint8), *_tables(q)).dtype == np.int64
+    assert _kernels._RANKS == {}
+
+
+def _spy_eliminations(monkeypatch):
+    """Cold rank tables, and the batch size of each later ``_eliminate_batch`` call."""
+    monkeypatch.setattr(_kernels, "_RANKS", {})
+    sizes = []
+    original = _kernels._eliminate_batch
+    monkeypatch.setattr(_kernels, "_eliminate_batch", lambda mats, *args: sizes.append(len(mats)) or original(mats, *args))
+    return sizes
+
+
+@pytest.mark.parametrize("T", [2, 4])
+def test_a_batch_of_one_builds_no_table(monkeypatch, T):
+    """``rank`` and ``contains`` eliminate their one matrix (q2 2 x 2 and 4 x 4
+    stacks), however small its shape's table would be."""
+    f = GF(2)
+    eye = np.eye(T, dtype=np.uint8)
+    u, v = span(Mat(f, eye[: T // 2])), span(Mat(f, eye[T // 2 :]))
+    sizes = _spy_eliminations(monkeypatch)
+    assert rank(Mat(f, eye)) == T
+    assert contains(u, v) is False
+    assert sizes == [1, 1] and _kernels._RANKS == {}
+
+
+def test_a_cold_table_is_built_once(monkeypatch):
+    """A cold 1 x 2 call over 4,408 candidates eliminates the 4 matrices of the
+    table once, and no candidate; a second call eliminates nothing."""
+    sizes = _spy_eliminations(monkeypatch)
+    tables = _tables(2)
+    mats = _random_mats(2, 4408, 1, 2, seed=5)
+    first = _kernels.rank_batch(mats, *tables)
+    assert sizes == [4] and list(_kernels._RANKS) == [(2, 1, 2)]
+    assert np.array_equal(_kernels.rank_batch(mats, *tables), first)
+    assert sizes == [4]
+    assert np.array_equal(first, _ref_rank_batch(mats, *tables))
 
 
 @pytest.mark.parametrize("q, rows, cols", [(2, 4, 64), (4, 4, 32), (4, 2, 3), (3, 4, 16)])

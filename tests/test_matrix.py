@@ -1,9 +1,12 @@
 """Mat operations: product, RREF, rank, and the full-rank sampler."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import CHI2_CRIT_P001, all_matrices, chi2_statistic
+from subchan import _kernels
 from subchan.errors import DimensionMismatchError, FieldMismatchError, SubchanError
 from subchan.gf import GF
 from subchan.grassmann import span, subspace_label
@@ -141,6 +144,29 @@ class TestSampleFullRank:
     def test_negative_dimension_rejected(self, n, m):
         with pytest.raises(DimensionMismatchError):
             sample_full_rank_batch(F2, n, m, 1, np.random.default_rng(0))
+
+    def test_a_second_round_keeps_the_first_accepted_in_order(self, monkeypatch):
+        """Each round draws ceil(1.1 missing / a) + 8 candidates and keeps its first
+        full-rank ones; a second round's follow the first's.  The first round is
+        made to accept only 2 of the 5 wanted."""
+        rank_batch, calls = _kernels.rank_batch, []
+
+        def first_round_short(mats, *tables):
+            ranks = rank_batch(mats, *tables)
+            if not calls:
+                ranks[np.flatnonzero(ranks == 2)[2:]] = 0
+            calls.append(len(mats))
+            return ranks
+
+        monkeypatch.setattr(_kernels, "rank_batch", first_round_short)
+        draws = sample_full_rank_batch(F2, 2, 2, 5, np.random.default_rng(3))
+        assert calls == [math.ceil(1.1 * 5 / 0.375) + 8, math.ceil(1.1 * 3 / 0.375) + 8]
+        rng = np.random.default_rng(3)
+        kept = []
+        for size, wanted in zip(calls, [2, 3]):
+            cand = rng.integers(0, 2, size=(size, 2, 2), dtype=np.uint8)
+            kept += [c for c in cand if rank(Mat(F2, c)) == 2][:wanted]
+        assert draws.shape == (5, 2, 2) and np.array_equal(draws, kept)
 
     def test_degenerate_dimension_returns_empty(self):
         rng = np.random.default_rng(2)
