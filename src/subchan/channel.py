@@ -185,6 +185,7 @@ def channel_spec_from_dict(data: Mapping) -> tuple[ChannelSpec, list[str]]:
 
 
 def channel_spec_to_dict(spec: ChannelSpec) -> dict:
+    _check_type("spec", spec, ChannelSpec)
     return {
         "q": spec.field.q,
         "T": spec.T,
@@ -423,37 +424,36 @@ def _frame(field: GF, h: int) -> tuple[OutputAlphabet, dict[int, np.ndarray]]:
     return frame, {k: _slot_table(field, k, h) for k in range(1, h) if field.q ** (k * h) <= _CHUNK}
 
 
-def _plan(spec: ChannelSpec) -> tuple:
-    """What ``_tally`` reads of ``spec``, checked against the cap in force now: the
-    field, h, the frame's slot count, the cdf but its last entry, and per d = 1..h-1
-    (d, k = h - d, the k x h slot table or None, the slots lo:hi of dimension k, P(F_q^h, k))."""
+def _tally(spec: ChannelSpec, draws: int, rngs) -> np.ndarray:
+    """``simulate_frame`` of each generator of ``rngs``, one int64 row each, taken
+    one at a time.  The frame, its slot tables, the cap check in force now and the
+    cdf are read once per call.  Per chunk, d = 0 and d = h add their counts to the
+    last slot and slot 0; then for each d = 1..h-1 in order one
+    ``sample_full_rank_batch`` draws the kept rows, whose slots are read from the
+    slot table at each matrix's ``_kernels.codes`` code or, without a table, by
+    one ``rref_batch`` call and one ranking."""
     f, h = spec.field, spec.h
     frame, slot_tables = _frame(f, h)
     for d, block in enumerate(frame.blocks):
         _check_enum_cap(f"P(F_{f.q}^{h}, {d}) has {{}} subspaces", len(block))
+    cdf = np.cumsum(spec.rank_def.probs)[:-1].tolist()
     kept = [(d, h - d, slot_tables.get(h - d), *frame.offsets[h - d : h - d + 2], frame.blocks[h - d]) for d in range(1, h)]
-    return f, h, len(frame), np.cumsum(spec.rank_def.probs)[:-1].tolist(), kept
 
+    def row(rng):
+        tally = np.zeros(len(frame), dtype=np.int64)
+        for counts in _draw_deficiencies(cdf, draws, rng):
+            tally[0] += counts[h]
+            tally[-1] += counts[0]
+            for d, k, table, lo, hi, block in kept:
+                rows = sample_full_rank_batch(f, k, h, counts[d], rng)
+                if table is None:
+                    slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
+                else:
+                    slots = table[_kernels.codes(rows, f.q)]
+                tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
+        return tally
 
-def _tally(plan: tuple, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """``simulate_frame`` on a ``_plan``.  Per chunk, d = 0 and d = h add their
-    counts to the last slot and slot 0; then for each d = 1..h-1 in order one
-    ``sample_full_rank_batch`` draws the kept rows, whose slots are read from the
-    slot table at each matrix's ``_kernels.codes`` code or, without a table, by
-    one ``rref_batch`` call and one ranking."""
-    f, h, width, cdf, kept = plan
-    tally = np.zeros(width, dtype=np.int64)
-    for counts in _draw_deficiencies(cdf, draws, rng):
-        tally[0] += counts[h]
-        tally[-1] += counts[0]
-        for d, k, table, lo, hi, block in kept:
-            rows = sample_full_rank_batch(f, k, h, counts[d], rng)
-            if table is None:
-                slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
-            else:
-                slots = table[_kernels.codes(rows, f.q)]
-            tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
-    return tally
+    return np.fromiter(map(row, rngs), dtype=np.dtype((np.int64, len(frame))))
 
 
 def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -463,11 +463,11 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
     A use of deficiency 0 < d < h outputs R B_u, R the RREF of its kept rows,
     and its slot is R's position among the subspaces of F_q^h (the order of
     ``subspaces_of_batch``); d = 0 outputs u (the last slot) and d = h the zero
-    space (slot 0).  This is ``_tally`` on the call's ``_plan``.
+    space (slot 0).  This is the row of ``_tally`` on the one generator ``rng``.
     """
     _check_type("spec", spec, ChannelSpec)
     draws = _check_int("draws", draws, 1, InsufficientDataError)
-    return _tally(_plan(spec), draws, rng)
+    return _tally(spec, draws, [rng])[0]
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:

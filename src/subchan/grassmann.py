@@ -197,7 +197,7 @@ def subspace_label(s: Subspace) -> str:
     joined by '|'.  The zero space O serializes to the empty string.  For
     q > 16 entries are comma-separated decimal values instead of digits.
     A batch of one of ``GrassmannianIndex.labels``."""
-    return _labels(s.field.q, s.basis.array[None])[0]
+    return _labels(_check_type("s", s, Subspace).field.q, s.basis.array[None])[0]
 
 
 def _labels(q: int, bases: np.ndarray) -> list[str]:

@@ -1,13 +1,13 @@
 """Monte Carlo verification harness for the subspace channel.
 
 Runs batches of channel uses per input subspace u in u's own frame, where a
-use outputs R B_u: one ``channel._plan`` per call, then per input its
-``_tally`` (``simulate_frame`` for one input), the count of each slot of u's
-row of ``Dmc.support``, so the harness holds nothing per draw.  It scores the
-empirical frequencies against the analytical transition law under the
-binomial model; a draw in a slot of zero mass is an off-support hit.  The
-pipeline reads only how many uses have each rank deficiency, so it draws and
-eliminates nothing else.
+use outputs R B_u: one ``channel._tally`` call counts, on each input's own
+substream, the uses in each slot of u's row of ``Dmc.support``
+(``simulate_frame`` is one input), so the harness holds nothing per draw.  It
+scores the empirical frequencies against the analytical transition law under
+the binomial model, all cells as arrays; a draw in a slot of zero mass is an
+off-support hit.  The pipeline reads only how many uses have each rank
+deficiency, so it draws and eliminates nothing else.
 
 Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import CapacityReport, capacity_closed_form
-from .channel import ChannelSpec, RankDefDist, _draw_deficiencies, _plan, _tally, build_dmc, channel_spec_to_dict
+from .channel import ChannelSpec, RankDefDist, _draw_deficiencies, _tally, build_dmc, channel_spec_to_dict
 from .errors import InsufficientDataError, _check_int, _check_real, _check_type
 
 __all__ = [
@@ -81,45 +81,32 @@ class McReport:
         }
 
 
-def _cell_z(count: int, draws: int, p: float) -> float:
-    if p <= 0.0:
-        return math.inf if count > 0 else 0.0
-    if p >= 1.0:
-        return 0.0 if count == draws else math.inf
-    return (count - draws * p) / math.sqrt(draws * p * (1.0 - p))
-
-
 def run_mc(spec: ChannelSpec, draws_per_input: int, seed: int) -> McReport:
     """Simulate draws_per_input channel uses for every input subspace and
     score the empirical law against the analytical one."""
     n = _check_int("draws_per_input", draws_per_input, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
     dmc = build_dmc(spec)
+    tally = _tally(spec, n, (_substream(seed, i) for i in range(dmc.num_inputs)))
 
-    cells: list[McCell] = []
-    max_dev = 0.0
-    worst_z = 0.0
-    off_support = 0
-    input_labels = dmc.input_index.labels()
-    output_labels = dmc.output_index.labels()
+    # Each row in output order.  A cell is z = (c - n p) / sqrt(n p (1 - p)); at
+    # p <= 0 or p >= 1, z is 0 if c is 0 or n respectively, else inf.
+    order = np.argsort(dmc.support, axis=1)
+    counts, p = np.take_along_axis(tally, order, 1), dmc.values[order]
+    z = np.where(counts == np.where(p > 0.0, n, 0), 0.0, math.inf)
+    np.divide(counts - n * p, np.sqrt(n * p * (1.0 - p)), out=z, where=(p > 0.0) & (p < 1.0))
+    off_support = int(counts[p == 0.0].sum())
+    worst_z = math.inf if off_support else float(np.abs(z[p != 0.0]).max(initial=0.0))
+    max_dev = float(np.abs(counts / n - p).max())
 
-    values = dmc.values.tolist()
-    plan = _plan(spec)
-    for i in range(dmc.num_inputs):
-        tally = _tally(plan, n, _substream(seed, i)).tolist()
-        for j, p, cnt in sorted(zip(dmc.support[i].tolist(), values, tally)):
-            if p == 0.0 and cnt == 0:
-                continue
-            z = _cell_z(cnt, n, p)
-            cells.append(McCell(i, j, input_labels[i], output_labels[j], cnt, p, z))
-            max_dev = max(max_dev, abs(cnt / n - p))
-            if p == 0.0:
-                off_support += cnt
-            else:
-                worst_z = max(worst_z, abs(z))
-    if off_support:
-        worst_z = math.inf
-    return McReport(spec, n, seed, tuple(cells), max_dev, worst_z, off_support)
+    keep = (p != 0.0) | (counts > 0)
+    rows, cols = np.nonzero(keep)[0].tolist(), np.sort(dmc.support, axis=1)[keep].tolist()
+    input_labels, output_labels = dmc.input_index.labels(), dmc.output_index.labels()
+    cells = tuple(
+        McCell(i, j, input_labels[i], output_labels[j], c, pj, zj)
+        for i, j, c, pj, zj in zip(rows, cols, counts[keep].tolist(), p[keep].tolist(), z[keep].tolist())
+    )
+    return McReport(spec, n, seed, cells, max_dev, worst_z, off_support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,6 +155,7 @@ def _json_float(x: float):
 
 
 def mc_report_to_dict(report: McReport) -> dict:
+    _check_type("report", report, McReport)
     return {
         "format_version": 1,
         **channel_spec_to_dict(report.spec),
@@ -192,6 +180,7 @@ def mc_report_to_dict(report: McReport) -> dict:
 def mc_report_to_csv(report: McReport, fileobj) -> None:
     import csv
 
+    _check_type("report", report, McReport)
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input", "output", "count", "expected_prob", "z"])
     for c in report.cells:

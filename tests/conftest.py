@@ -146,6 +146,39 @@ def divergences_loops(trans, p) -> list[float]:
     return [math.fsum(w * math.log(w / out[j]) for j, w in enumerate(row) if w > 0) for row in rows]
 
 
+def cell_z_reference(count: int, draws: int, p: float) -> float:
+    """Reference for a Monte Carlo cell's z-score, one cell at a time with
+    ``math``: the binomial z = (c - n p) / sqrt(n p (1 - p)), and at p <= 0 or
+    p >= 1, 0 when the count is 0 or ``draws`` respectively, else inf."""
+    if p <= 0.0:
+        return math.inf if count > 0 else 0.0
+    if p >= 1.0:
+        return 0.0 if count == draws else math.inf
+    return (count - draws * p) / math.sqrt(draws * p * (1.0 - p))
+
+
+def mc_score_reference(dmc, tallies, draws: int):
+    """Reference for ``run_mc``'s scoring of the per-input slot tallies, cell by
+    cell: the (input, output, count, p, z) of each cell in output order but the
+    zero-mass cells never drawn, the largest |count / draws - p|, the largest
+    |z| over cells of positive mass (inf after any off-support hit) and the
+    off-support hits."""
+    cells, max_dev, worst_z, off_support = [], 0.0, 0.0, 0
+    values = dmc.values.tolist()
+    for i, tally in enumerate(tallies):
+        for j, p, count in sorted(zip(dmc.support[i].tolist(), values, tally)):
+            if p == 0.0 and count == 0:
+                continue
+            z = cell_z_reference(count, draws, p)
+            cells.append((i, j, count, p, z))
+            max_dev = max(max_dev, abs(count / draws - p))
+            if p == 0.0:
+                off_support += count
+            else:
+                worst_z = max(worst_z, abs(z))
+    return cells, max_dev, math.inf if off_support else worst_z, off_support
+
+
 # Critical values of the chi-square distribution at significance 0.001.
 CHI2_CRIT_P001 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458}
 

@@ -377,6 +377,22 @@ class TestSimulate:
         assert code == 0
         assert out.startswith("input,output,count,expected_prob,z\n")
 
+    # sha256 of the CSV report, recorded before the cells were scored as arrays.
+    # The writer prints repr of each float, so a numpy scalar in a cell would
+    # change these bytes.
+    @pytest.mark.parametrize(
+        "rank_def, digest",
+        [
+            ("0.5,0.3,0.2", "901f8c282b85ace8fb32f718319d9bda5eb9ec203ac71b29221dd0d3728e47b4"),
+            ("1,0,0", "8e798e3ee2262108aed60a26aa7fb70b1db87e38e683e5a10cb4e105d7da5910"),
+        ],
+    )
+    def test_csv_golden_hash(self, capsys, rank_def, digest):
+        args = ["simulate", "--q", "2", "--T", "4", "--h", "2", "--rank-def", rank_def]
+        code, out, _ = _run(capsys, [*args, "--draws", "2000", "--seed", "1", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_pipeline_matches_schema(self, capsys):
         code, out, _ = _run(capsys, ["simulate", *INLINE, "--draws", "2000", "--seed", "3", "--pipeline"])
         assert code == 0

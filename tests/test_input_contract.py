@@ -27,6 +27,7 @@ from subchan.channel import (
     alphabet_sizes,
     build_dmc,
     channel_spec_from_dict,
+    channel_spec_to_dict,
     components,
     conditional_prob_given_rank,
     dmc_to_csv,
@@ -53,9 +54,10 @@ from subchan.grassmann import (
     enumerate_subspaces_of,
     random_ordered_basis,
     span,
+    subspace_label,
 )
 from subchan.matrix import Mat, matmul, rank, rref, sample_full_rank, sample_full_rank_batch
-from subchan.mc import empirical_capacity_pipeline, run_mc
+from subchan.mc import empirical_capacity_pipeline, mc_report_to_csv, mc_report_to_dict, run_mc
 
 RD = RankDefDist(2, [0.5, 0.3, 0.2])
 SPEC = ChannelSpec(GF(2), 3, 2, RD)
@@ -120,6 +122,10 @@ CASES = {
     "components-dmc-None": (lambda: components(None), InvalidParameterError),
     "dmc_to_json-None": (lambda: dmc_to_json(None, io.StringIO()), InvalidParameterError),
     "dmc_to_csv-None": (lambda: dmc_to_csv(None, io.StringIO()), InvalidParameterError),
+    "channel_spec_to_dict-None": (lambda: channel_spec_to_dict(None), InvalidParameterError),
+    "mc_report_to_dict-None": (lambda: mc_report_to_dict(None), InvalidParameterError),
+    "mc_report_to_csv-None": (lambda: mc_report_to_csv(None, io.StringIO()), InvalidParameterError),
+    "subspace_label-None": (lambda: subspace_label(None), InvalidParameterError),
     "Subspace-field-None": (lambda: Subspace(None, 3, U.basis), InvalidParameterError),
     "Subspace-T-None": (lambda: Subspace(GF(2), None, U.basis), InvalidParameterError),
     "Subspace-basis-None": (lambda: Subspace(GF(2), 3, None), InvalidParameterError),

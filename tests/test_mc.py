@@ -7,6 +7,7 @@ z-score threshold (4 on the large runs, 5 on the small multi-seed grid)
 keeps the false-alarm probability per suite below one percent.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,8 +17,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import traced_peak
-from subchan import _kernels, grassmann, mc
+from conftest import mc_score_reference, traced_peak
+from subchan import _kernels, channel, grassmann, mc
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc, simulate_frame, transition_prob
 from subchan.errors import InsufficientDataError, InvalidParameterError, SubchanError
 from subchan.gf import GF
@@ -84,10 +85,10 @@ class TestRunMcStructure:
         to the zero space (slot 0), which this law never outputs."""
         tally_of = mc._tally
 
-        def one_use_in_the_zero_space(plan, draws, rng):
-            tally = tally_of(plan, draws, rng)
-            tally[-1] -= 1
-            tally[0] += 1
+        def one_use_in_the_zero_space(spec, draws, rngs):
+            tally = tally_of(spec, draws, rngs)
+            tally[:, -1] -= 1
+            tally[:, 0] += 1
             return tally
 
         monkeypatch.setattr(mc, "_tally", one_use_in_the_zero_space)
@@ -98,6 +99,62 @@ class TestRunMcStructure:
         assert data["worst_z_score"] is None
         schema = Path(__file__).resolve().parents[1] / "schemas" / "mc_report.schema.json"
         jsonschema.validate(data, json.loads(schema.read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize(
+        "spec, draws, fake_off_support",
+        [
+            (MIXED, 500, False),
+            (DELTA0, 300, False),
+            (DELTA2, 300, False),
+            (_spec([0.5, 0.0, 0.25, 0.25], T=4, h=3), 400, False),
+            (_spec([0.5, 0.3, 0.2], q=3, T=3), 500, False),
+            (_spec([0.5, 0.5, 0]), 200, True),
+        ],
+        ids=["mixed", "point-mass-full-rank", "point-mass-zero-space", "zero-mass-class", "q3", "off-support"],
+    )
+    def test_cells_equal_the_scalar_reference(self, monkeypatch, spec, draws, fake_off_support):
+        """The array scoring gives every cell the count, expected probability
+        and z-score of the scalar reference, inf included, as Python ``int``,
+        ``float`` and ``str``; the faked tally moves one use of every input to
+        the zero space, as in the off-support test above."""
+        dmc = build_dmc(spec)
+        tallies = [simulate_frame(spec, draws, mc._substream(4, i)).tolist() for i in range(dmc.num_inputs)]
+        if fake_off_support:
+            for tally in tallies:
+                tally[-1] -= 1
+                tally[0] += 1
+            monkeypatch.setattr(mc, "_tally", lambda *args: np.array(tallies))
+        cells, max_dev, worst_z, off_support = mc_score_reference(dmc, tallies, draws)
+        report = run_mc(spec, draws, 4)
+        got = [(c.input_index, c.output_index, c.count, c.expected_prob, c.z_score) for c in report.cells]
+        assert got == cells
+        assert (report.max_abs_deviation, report.worst_z_score, report.off_support_hits) == (max_dev, worst_z, off_support)
+        assert any(c.z_score == math.inf for c in report.cells) == fake_off_support
+        if spec in (DELTA0, DELTA2):
+            assert {(c.expected_prob, c.z_score) for c in report.cells} == {(1.0, 0.0)}
+        for c in report.cells:
+            assert [type(v) for v in dataclasses.astuple(c)] == [int, int, str, str, int, float, float]
+        assert [type(report.max_abs_deviation), type(report.worst_z_score), type(report.off_support_hits)] == [float, float, int]
+
+    def test_substreams_are_made_one_at_a_time(self, monkeypatch):
+        """Input i's generator is made only after input i - 1's deficiencies are
+        all drawn, so one generator is alive at a time however many inputs."""
+        events, made = [], {}
+        substream, draw = mc._substream, channel._draw_deficiencies
+
+        def spy_substream(seed, i):
+            events.append(("made", i))
+            made[id(rng := substream(seed, i))] = i
+            return rng
+
+        def spy_draw(cdf, draws, rng):
+            yield from draw(cdf, draws, rng)
+            events.append(("drawn", made[id(rng)]))
+
+        monkeypatch.setattr(mc, "_substream", spy_substream)
+        monkeypatch.setattr(channel, "_draw_deficiencies", spy_draw)
+        run_mc(MIXED, 70_000, 1)
+        assert events == [(e, i) for i in range(7) for e in ("made", "drawn")]
 
     @pytest.mark.parametrize("q, T", [(2, 4), (3, 3)])
     def test_cells_score_against_the_scalar_law(self, q, T):
