@@ -35,7 +35,7 @@ from .errors import (
     _check_type,
     _real_array,
 )
-from .grassmann import gaussian_coefficient
+from .grassmann import _gaussian_size
 
 __all__ = [
     "BaSolution",
@@ -98,10 +98,15 @@ def component_capacity(q: int, T: int, h: int, rho: int, log_base: float = 2.0) 
     T = _check_int("T", T, 0)
     h = _check_int("h", h, 0, maximum=T)
     rho = _check_int("rho", rho, 0, maximum=h)
-    num = gaussian_coefficient(T, h - rho, q)
-    den = gaussian_coefficient(h, h - rho, q)
-    bits = math.log2(num) - math.log2(den)
+    bits = _log2_size(T, h - rho, q) - _log2_size(h, h - rho, q)
     return bits / _base_divisor(log_base)
+
+
+def _log2_size(n: int, ell: int, q: int) -> float:
+    """log2 C(n, ell)_q: of the exact coefficient, or from its log10 when
+    ``_gaussian_size`` gives that, past what Python writes as text."""
+    size = _gaussian_size(n, ell, q)
+    return size / math.log10(2) if isinstance(size, float) else math.log2(size)
 
 
 def _units_note(q: int, log_base: float) -> str:

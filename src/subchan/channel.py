@@ -86,10 +86,11 @@ class RankDefDist:
     """Probability vector over transfer-matrix rank deficiencies r = 0..h.
 
     Entries must be finite, nonnegative and sum to 1 within 1e-9; the stored vector
-    is renormalized to sum exactly (up to float rounding) to 1.
+    is renormalized to sum exactly (up to float rounding) to 1.  ``_cdf`` is the
+    draw's cdf: the entries of ``cumsum(probs)`` but its last, as a tuple of floats.
     """
 
-    __slots__ = ("h", "probs")
+    __slots__ = ("h", "probs", "_cdf")
 
     def __init__(self, h: int, probs) -> None:
         h = _check_int("h", h, 0, DistributionInvalidError)
@@ -97,6 +98,7 @@ class RankDefDist:
         self.h = h
         self.probs = vec / float(vec.sum())
         self.probs.setflags(write=False)
+        self._cdf = tuple(np.cumsum(self.probs)[:-1].tolist())
 
     @classmethod
     def point_mass(cls, h: int, r: int) -> "RankDefDist":
@@ -146,6 +148,11 @@ class ChannelSpec:
             raise DistributionInvalidError(
                 f"rank_def is over 0..{self.rank_def.h} but h = {self.h}"
             )
+
+    def _law_value(self, d: int) -> float:
+        """p_rankdef(h - d) / C(h, d)_q, the exact quotient correctly rounded."""
+        num, den = float(self.rank_def.probs[self.h - d]).as_integer_ratio()
+        return num / (den * gaussian_coefficient(self.h, d, self.field.q))
 
 
 def _spec_int(data: dict, key: str, minimum: int) -> int:
@@ -209,10 +216,7 @@ def _check_input_subspace(spec: ChannelSpec, u: Subspace) -> None:
 def transition_prob(spec: ChannelSpec, u: Subspace, v: Subspace) -> float:
     """Probability of receiving subspace v given that subspace u was sent."""
     _check_input_subspace(spec, u)
-    if not contains(u, v):
-        return 0.0
-    p = float(spec.rank_def.probs[spec.h - v.dim])
-    return p / gaussian_coefficient(spec.h, v.dim, spec.field.q)
+    return spec._law_value(v.dim) if contains(u, v) else 0.0
 
 
 def conditional_prob_given_rank(spec: ChannelSpec, u: Subspace, v: Subspace, rho: int) -> float:
@@ -359,7 +363,6 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     """
     _check_type("spec", spec, ChannelSpec)
     f, T, h = spec.field, spec.T, spec.h
-    q = f.q
     alphabet_sizes(spec)
     input_index = enumerate_grassmannian(f, T, h)
     blocks = tuple(enumerate_grassmannian(f, T, d) for d in range(h + 1))
@@ -370,8 +373,7 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     for d in range(h + 1):
         canon = subspaces_of_batch(f, input_index.bases, d)
         support.append(output_index.offsets[d] + blocks[d].indices(canon).reshape(nx, -1))
-        value = float(spec.rank_def.probs[h - d]) / gaussian_coefficient(h, d, q)
-        values.append(np.full(support[-1].shape[1], value))
+        values.append(np.full(support[-1].shape[1], spec._law_value(d)))
     support, values = np.hstack(support), np.concatenate(values)
     support.setflags(write=False)
     values.setflags(write=False)
@@ -383,7 +385,7 @@ def build_dmc(spec: ChannelSpec) -> Dmc:
     return Dmc(spec, input_index, output_index, support, values, component)
 
 
-def _deficiency_counts(cdf: list[float], x: np.ndarray) -> list[int]:
+def _deficiency_counts(cdf: tuple[float, ...], x: np.ndarray) -> list[int]:
     """The count, for each deficiency d = 0..h, of the uniforms in ``x`` whose
     deficiency is d, from ``cdf``, the entries of ``cumsum(probs)`` but its last:
     the uniforms at or past entry d - 1 less those at or past entry d."""
@@ -391,16 +393,16 @@ def _deficiency_counts(cdf: list[float], x: np.ndarray) -> list[int]:
     return [a - b for a, b in zip(at_or_past, at_or_past[1:])]
 
 
-def _draw_deficiencies(cdf: list[float], draws: int, rng: np.random.Generator):
+def _draw_deficiencies(rank_def: RankDefDist, draws: int, rng: np.random.Generator):
     """The deficiency counts of ``draws`` uses, one list of h + 1 ints per chunk of
     n <= 65,536 uniforms ``rng.random(n)``: a use's deficiency is the count of
     entries of the cdf ``cumsum(rank_def.probs)`` that are <= its uniform x.  The
     cdf is monotone, so this equals ``searchsorted(cdf, x, side="right")``
-    clamped to h, the clamp being the last entry, which ``cdf`` leaves out.  No
-    use's own deficiency is kept."""
+    clamped to h, the clamp being the last entry, which ``rank_def._cdf`` leaves
+    out.  No use's own deficiency is kept."""
     _check_type("rng", rng, np.random.Generator)
     for start in range(0, draws, _CHUNK):
-        yield _deficiency_counts(cdf, rng.random(min(_CHUNK, draws - start)))
+        yield _deficiency_counts(rank_def._cdf, rng.random(min(_CHUNK, draws - start)))
 
 
 def _slot_table(field: GF, k: int, h: int) -> np.ndarray:
@@ -426,8 +428,8 @@ def _frame(field: GF, h: int) -> tuple[OutputAlphabet, dict[int, np.ndarray]]:
 
 def _tally(spec: ChannelSpec, draws: int, rngs) -> np.ndarray:
     """``simulate_frame`` of each generator of ``rngs``, one int64 row each, taken
-    one at a time.  The frame, its slot tables, the cap check in force now and the
-    cdf are read once per call.  Per chunk, d = 0 and d = h add their counts to the
+    one at a time.  The frame, its slot tables and the cap check in force now
+    are read once per call.  Per chunk, d = 0 and d = h add their counts to the
     last slot and slot 0; then for each d = 1..h-1 in order one
     ``sample_full_rank_batch`` draws the kept rows, whose slots are read from the
     slot table at each matrix's ``_kernels.codes`` code or, without a table, by
@@ -436,12 +438,11 @@ def _tally(spec: ChannelSpec, draws: int, rngs) -> np.ndarray:
     frame, slot_tables = _frame(f, h)
     for d, block in enumerate(frame.blocks):
         _check_enum_cap(f"P(F_{f.q}^{h}, {d}) has {{}} subspaces", len(block))
-    cdf = np.cumsum(spec.rank_def.probs)[:-1].tolist()
     kept = [(d, h - d, slot_tables.get(h - d), *frame.offsets[h - d : h - d + 2], frame.blocks[h - d]) for d in range(1, h)]
 
     def row(rng):
         tally = np.zeros(len(frame), dtype=np.int64)
-        for counts in _draw_deficiencies(cdf, draws, rng):
+        for counts in _draw_deficiencies(spec.rank_def, draws, rng):
             tally[0] += counts[h]
             tally[-1] += counts[0]
             for d, k, table, lo, hi, block in kept:
@@ -476,7 +477,7 @@ def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -
     u at d = 0, where nothing more is drawn."""
     _check_input_subspace(spec, u)
     f, h = spec.field, spec.h
-    (counts,) = _draw_deficiencies(np.cumsum(spec.rank_def.probs)[:-1].tolist(), 1, rng)
+    (counts,) = _draw_deficiencies(spec.rank_def, 1, rng)
     d = counts.index(1)
     rows = np.eye(h, dtype=np.uint8) if d == 0 else sample_full_rank_batch(f, h - d, h, 1, rng)[0]
     return span(matmul(Mat(f, rows), u.basis))

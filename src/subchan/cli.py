@@ -35,7 +35,7 @@ from .channel import (
     dmc_to_json,
 )
 from .errors import _SUM_TOLERANCE, NonConvergenceError, SubchanError, _check_real
-from .grassmann import _gaussian_size, _size_text, count_ordered_bases
+from .grassmann import _bases_size, _gaussian_size, _size_text
 from .mc import empirical_capacity_pipeline, mc_report_to_csv, mc_report_to_dict, run_mc
 
 __all__ = ["main"]
@@ -219,7 +219,7 @@ def cmd_count(args, parser) -> int:
     if args.what == "gauss":
         value = _gaussian_size(args.n, args.l, args.q)
     else:
-        value = count_ordered_bases(args.h, args.q)
+        value = _bases_size(args.h, args.q)
     text = _size_text(value)
     if not text.isdigit():
         raise SubchanError(f"the count is {text}, more digits than Python writes as text")

@@ -80,12 +80,10 @@ def _check_int(name: str, value, minimum: int, error=InvalidParameterError, *, m
     """value as an int; a non-integer (bool included) raises
     InvalidParameterError, an integer outside [minimum, maximum] raises
     ``error`` (no upper bound when maximum is None)."""
-    bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-    message = f"{name} must be an integer {bounds}, got {value!r}"
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(message)
-    if value < minimum or (maximum is not None and value > maximum):
-        raise error(message)
+    wrong_type = isinstance(value, bool) or not isinstance(value, (int, np.integer))
+    if wrong_type or value < minimum or (maximum is not None and value > maximum):
+        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise (InvalidParameterError if wrong_type else error)(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
 
 

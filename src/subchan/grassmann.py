@@ -94,13 +94,17 @@ def gaussian_coefficient(n: int, ell: int, q: int) -> int:
 
 
 def _log10_gaussian(n: int, ell: int, q: int) -> float:
-    """log10 C(n, ell)_q in O(ell) float steps, without building it:
+    """log10 C(n, ell)_q in at most 64 float steps, without building it:
     ell (n - ell) log10 q + sum_i [log10(1 - q^-(n-i)) - log10(1 - q^-(ell-i))],
-    or inf when n is past the float range."""
+    or inf when n is past the float range.  A term with ell - i > 64 is exactly
+    0.0 (expm1 of -45 or less rounds to -1), so the sum starts at ell - 64."""
     if ell > n:
         return -math.inf
     ell, lq = min(ell, n - ell), math.log(q)
-    terms = (math.log10(-math.expm1(-(n - i) * lq)) - math.log10(-math.expm1(-(ell - i) * lq)) for i in range(ell))
+    terms = (
+        math.log10(-math.expm1(-(n - i) * lq)) - math.log10(-math.expm1(-(ell - i) * lq))
+        for i in range(max(0, ell - 64), ell)
+    )
     try:
         return ell * (n - ell) * math.log10(q) + math.fsum(terms)
     except OverflowError:
@@ -122,6 +126,19 @@ def _gaussian_size(n: int, ell: int, q: int) -> int | float:
     n, ell = _check_int("n", n, 0), _check_int("ell", ell, 0)
     log10 = _log10_gaussian(n, ell, q)
     return log10 if _unwritable(log10) else gaussian_coefficient(n, ell, q)
+
+
+def _bases_size(h: int, q: int) -> int | float:
+    """|GL(h, q)| as ``_gaussian_size`` gives a size: exactly or, past what Python
+    writes as text, its float log10 h^2 log10 q + sum_{j=1}^{h} log10(1 - q^-j),
+    whose terms past j = 64 are exactly 0.0; inf when h^2 is past the float range."""
+    _factor_prime_power(q, max_size=None)
+    h, lq = _check_int("h", h, 0), math.log(q)
+    try:
+        log10 = h * h * math.log10(q) + math.fsum(math.log10(-math.expm1(-j * lq)) for j in range(1, min(h, 64) + 1))
+    except OverflowError:
+        log10 = math.inf
+    return log10 if _unwritable(log10) else count_ordered_bases(h, q)
 
 
 def count_ordered_bases(h: int, q: int) -> int:

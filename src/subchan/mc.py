@@ -13,10 +13,11 @@ Determinism contract: a master seed expands into one substream per input via
 ``SeedSequence(entropy=seed, spawn_key=(input_index,))``, and each substream
 is consumed in the fixed order ``channel._tally`` defines: draws run in
 consecutive chunks of 65,536; each chunk draws one uniform per use, whose
-deficiency is the count of cdf entries <= it (equal to
-``searchsorted(cdf, x, side="right")`` clamped to h), and keeps only the count of
-its uses of each deficiency; then for each d = 1..h-1 in order it draws one
-full-rank batch, the kept selector rows of its uses of deficiency d.
+deficiency is the count of entries <= it of the cdf that ``RankDefDist`` builds
+once per law (equal to ``searchsorted(cdf, x, side="right")`` clamped to h),
+and keeps only the count of its uses of each deficiency; then for each
+d = 1..h-1 in order it draws one full-rank batch, the kept selector rows of
+its uses of deficiency d.
 Nothing else is drawn: the transfer for deficiency d is diag(I_{h-d}, 0).
 Identical (spec, draws, seed) therefore reproduce the identical report: all
 randomness is drawn through numpy Generators at the orchestration layer and
@@ -136,8 +137,7 @@ def empirical_capacity_pipeline(
     draws = _check_int("draws", draws, 1, InsufficientDataError)
     seed = _check_int("seed", seed, 0)
     log_base = _check_real("log base", log_base, above=1)
-    cdf = np.cumsum(spec.rank_def.probs)[:-1].tolist()
-    counts = np.sum([*_draw_deficiencies(cdf, draws, _substream(seed, 0))], axis=0)
+    counts = np.sum([*_draw_deficiencies(spec.rank_def, draws, _substream(seed, 0))], axis=0)
     est = RankDefDist(spec.h, counts / draws)
     report = PipelineReport(
         estimated_dist=est,

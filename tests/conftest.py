@@ -71,6 +71,20 @@ def reference_grassmannian_bases(q: int, ambient_dim: int, dim: int, last_fastes
     return np.array(out, dtype=np.uint8).reshape(len(out), dim, ambient_dim)
 
 
+def log10_gaussian_reference(n: int, ell: int, q: int) -> float:
+    """log10 C(n, ell)_q by the full O(ell) sum, every term included:
+    ell (n - ell) log10 q + sum_{i < ell} [log10(1 - q^-(n-i)) - log10(1 - q^-(ell-i))],
+    or inf when n is past the float range."""
+    if ell > n:
+        return -math.inf
+    ell, lq = min(ell, n - ell), math.log(q)
+    terms = (math.log10(-math.expm1(-(n - i) * lq)) - math.log10(-math.expm1(-(ell - i) * lq)) for i in range(ell))
+    try:
+        return ell * (n - ell) * math.log10(q) + math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def mul_slow(field: GF, a: int, b: int) -> int:
     """Digit-level product of a and b in ``field``: polynomial multiplication
     of the base-p digit vectors, reduced mod the field's reduction polynomial."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import component_trans, divergences_loops, traced_peak
-from subchan import capacity
+from subchan import capacity, grassmann
 from subchan.capacity import (
     BaSolution,
     _divergences,
@@ -90,6 +90,32 @@ class TestComponentCapacity:
     def test_log_base_must_be_finite_and_exceed_one(self, base):
         with pytest.raises(InvalidParameterError):
             component_capacity(2, 3, 2, 0, log_base=base)
+
+
+class TestClosedFormAtLargeT:
+    """The closed form takes C(T, k)_q through ``grassmann._gaussian_size``:
+    exact while Python writes it as text, else from its float log10."""
+
+    def test_agrees_with_the_exact_coefficient_across_the_switch(self):
+        """C(T, 1)_2 = 2^T - 1 passes Python's 4,300-digit text limit near T = 14,290."""
+        for T in range(14280, 14301):
+            exact = math.log2(gaussian_coefficient(T, 1, 2)) - math.log2(3)
+            assert component_capacity(2, T, 2, 1) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_a_billion_builds_no_exact_coefficient_of_T(self, monkeypatch):
+        exact = grassmann.gaussian_coefficient
+
+        def small_only(n, ell, q):
+            assert n < 10**6 or ell in (0, n), f"C({n}, {ell})_{q} was built"
+            return exact(n, ell, q)
+
+        monkeypatch.setattr(grassmann, "gaussian_coefficient", small_only)
+        T, log2_3 = 10**9, math.log2(3)
+        report = capacity_closed_form(ChannelSpec(GF(2), T, 2, RankDefDist(2, [0.5, 0.3, 0.2])))
+        # C(T, 2)_2 = (2^T - 1)(2^(T-1) - 1) / 3 and C(T, 1)_2 = 2^T - 1.
+        caps = [2 * T - 1 - log2_3, T - log2_3, 0.0]
+        assert [c.capacity for c in report.per_component] == pytest.approx(caps, rel=1e-15, abs=0.0)
+        assert report.closed_form == pytest.approx(0.5 * caps[0] + 0.3 * caps[1], rel=1e-15)
 
 
 class TestClosedForm:

@@ -113,6 +113,25 @@ class TestRankDefDist:
         with pytest.raises(DistributionInvalidError):
             RankDefDist.uniform(-1)
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.5, 0.3, 0.2],
+            [1, 0, 0],
+            [0.25] * 4,
+            [0.5, 0, 0.25, 0.25],
+            [0.2] * 5,
+            [0.2, 0.2, 0.2, 0.2, 0.1, 0.1],
+            [0.1] * 10,
+            [1.0],
+        ],
+    )
+    def test_cdf_is_the_cumsum_but_its_last(self, probs):
+        """The draw's cdf, built once per law, for the laws of the pinned streams."""
+        dist = RankDefDist(len(probs) - 1, probs)
+        assert type(dist._cdf) is tuple
+        assert dist._cdf == tuple(np.cumsum(dist.probs)[:-1].tolist())
+
 
 class TestChannelSpec:
     def test_dimension_constraints(self):
@@ -155,6 +174,32 @@ class TestChannelSpec:
     def test_loader_rejects_a_non_object(self, data):
         with pytest.raises(DistributionInvalidError, match="channel spec must be a JSON object"):
             channel_spec_from_dict(data)
+
+
+class TestLawValue:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_equals_the_float_quotient_while_the_coefficient_is_exact_in_a_double(self, q):
+        """Below 2^53 a Gaussian coefficient converts to a float exactly, so the
+        correctly rounded quotient is p / C bit for bit."""
+        for h in range(1, 7):
+            vec = np.random.default_rng(h).random(h + 1)
+            spec = ChannelSpec(GF(q), h, h, RankDefDist(h, vec / vec.sum()))
+            for d in range(h + 1):
+                assert spec._law_value(d) == float(spec.rank_def.probs[h - d]) / gaussian_coefficient(h, d, q)
+
+    def test_a_coefficient_past_the_float_range(self):
+        """At q2 T72 h70, C(70, 35)_2 is about 2^1225: a float divided by it
+        overflowed, and the exact quotient rounds to 0.0.  C(70, 69)_2 = 2^70 - 1
+        gives the correctly rounded quotient."""
+        h = 70
+        spec = ChannelSpec(F2, 72, h, RankDefDist.uniform(h))
+        basis = np.eye(h, 72, dtype=np.uint8)
+        u, v35, v69 = (span(Mat(F2, basis[:k])) for k in (h, 35, 69))
+        assert transition_prob(spec, u, v35) == 0.0
+        assert conditional_prob_given_rank(spec, u, v35, 35) == 0.0
+        p = Fraction(float(spec.rank_def.probs[1]))
+        assert transition_prob(spec, u, v69) == float(p / gaussian_coefficient(h, 69, 2)) == 1.1930041510623952e-23
+        assert conditional_prob_given_rank(spec, u, v69, 1) == float(Fraction(1, 2**70 - 1))
 
 
 class TestTransitionProb:

@@ -520,22 +520,47 @@ class TestOversizedSizes:
             (["matrix", "--q", "2", "--T", "1" + "0" * 400, "--h", "2", "--rank-def", "0.5,0.3,0.2"],
              "alphabet sizes |X| = about 10^inf, |Y| = about 10^inf, exceeding"),
             (["count", "gauss", "--n", "1" + "0" * 400, "--l", "2", "--q", "2"], "the count is about 10^inf"),
+            (["count", "bases", "--h", "1" + "0" * 200, "--q", "2"], "the count is about 10^inf"),
         ],
-        ids=["matrix", "count-gauss"],
+        ids=["matrix", "count-gauss", "count-bases"],
     )
     def test_a_size_past_the_float_range_is_about_ten_to_the_inf(self, argv, text):
         """10^400 does not convert to a float: its log10 is infinite."""
         self._check_exit_2(argv, text, timeout=5)
 
-    @staticmethod
-    def _check_exit_2(argv, text, timeout):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run(
-            [sys.executable, "-m", "subchan.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
-        )
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            # |GL(6000, 2)| has 10.8 million digits; it is named from its log10.
+            (["count", "bases", "--h", "6000", "--q", "2"], "the count is about 10^10837079.3"),
+            # 5 * 10^7 terms of the log10 sum, all but the last 64 exactly 0.0.
+            (["count", "gauss", "--n", "100000000", "--l", "50000000", "--q", "2"], "the count is about 10^75257498915"),
+        ],
+        ids=["count-bases", "count-gauss"],
+    )
+    def test_a_size_is_named_in_time_however_many_factors(self, argv, text):
+        self._check_exit_2(argv, text, timeout=5)
+
+    def test_closed_form_at_a_billion(self):
+        """The capacity needs only log C(T, k)_q: no coefficient of 10^9 digits
+        is built, so the answer comes within the timeout."""
+        run = self._run(["capacity", "--q", "2", "--T", "1000000000", "--h", "2", "--rank-def", "0.5,0.3,0.2"], 5)
+        assert run.returncode == 0 and run.stderr == ""
+        assert run.stdout.startswith("capacity: 1299999998.2320")
+
+    @classmethod
+    def _check_exit_2(cls, argv, text, timeout):
+        run = cls._run(argv, timeout)
         assert run.returncode == 2 and run.stdout == ""
         assert run.stderr.startswith("error: ") and text in run.stderr and "Traceback" not in run.stderr
+
+    @staticmethod
+    def _run(argv, timeout):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "subchan.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+        )
 
 
 class TestChannelSpecSchema:

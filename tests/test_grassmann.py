@@ -3,6 +3,7 @@ checked against brute-force enumeration oracles."""
 
 import io
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -14,11 +15,12 @@ from conftest import (
     all_matrices,
     brute_force_subspaces,
     chi2_statistic,
+    log10_gaussian_reference,
     reference_grassmannian_bases,
     reference_label,
     subspace_vectors,
 )
-from subchan import _kernels
+from subchan import _kernels, grassmann
 from subchan.channel import ChannelSpec, RankDefDist, build_dmc, dmc_to_csv, dmc_to_json
 from subchan.errors import (
     AmbientMismatchError,
@@ -31,7 +33,10 @@ from subchan.gf import GF
 from subchan.grassmann import (
     GrassmannianIndex,
     Subspace,
+    _bases_size,
     _enumerate_cached,
+    _gaussian_size,
+    _log10_gaussian,
     contains,
     count_ordered_bases,
     enumerate_grassmannian,
@@ -99,6 +104,54 @@ class TestGaussianCoefficient:
     def test_non_integer_or_negative_arguments_rejected(self, n, ell):
         with pytest.raises(InvalidParameterError):
             gaussian_coefficient(n, ell, 2)
+
+    def test_an_argument_too_long_to_write_is_accepted(self):
+        """The check writes an argument into its message only when it fails:
+        a valid n of 5,001 digits is not a ValueError of the text limit."""
+        assert gaussian_coefficient(10**5000, 0, 2) == 1
+        assert _gaussian_size(10**5000, 2, 2) == math.inf
+
+
+class TestLog10Gaussian:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
+    def test_equals_the_full_sum_bit_for_bit(self, q):
+        """Only the last 64 terms of the sum can be nonzero, so skipping the
+        rest changes no bit, for small and large n and past the float range."""
+        for n in [*range(0, 140, 3), 1000, 10**6, 10**12, 10**400]:
+            for ell in {*range(0, 140, 7), 63, 64, 65, 66, 129, min(n // 2, 10**4)}:
+                assert _log10_gaussian(n, ell, q) == log10_gaussian_reference(n, ell, q), (n, ell)
+
+    def test_cost_does_not_grow_with_the_smaller_dimension(self):
+        """C(10^8, 5 * 10^7)_2 has 5 * 10^7 terms, all but 64 exactly zero."""
+        start = time.perf_counter()
+        assert _log10_gaussian(10**8, 5 * 10**7, 2) > 7.5e14
+        assert time.perf_counter() - start < 0.1
+
+
+class TestBasesSize:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
+    def test_exact_or_its_log10_to_the_printed_digit(self, q):
+        """|GL(h, q)| is exact while Python writes it as text; past that its
+        float log10 prints as ``math.log10`` of the exact count does."""
+        for h in [*range(120), 150, 200, 300, 500]:
+            size, exact = _bases_size(h, q), count_ordered_bases(h, q)
+            if isinstance(size, float):
+                assert f"{size:.1f}" == f"{math.log10(exact):.1f}", h
+            else:
+                assert size == exact
+
+    def test_past_the_float_range_is_inf(self):
+        assert _bases_size(10**200, 2) == math.inf
+
+    def test_large_h_is_not_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"count_ordered_bases{args} was built")
+
+        monkeypatch.setattr(grassmann, "count_ordered_bases", refuse)
+        start = time.perf_counter()
+        # prod_{j >= 1} (1 - 2^-j) = 0.288788...: the terms past j = 64 round away.
+        assert _bases_size(6000, 2) == pytest.approx(6000**2 * math.log10(2) + math.log10(0.2887880950866024), abs=1e-6)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCountOrderedBases:
