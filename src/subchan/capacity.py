@@ -27,6 +27,7 @@ from .channel import ChannelSpec, Dmc
 from .errors import (
     _SUM_TOLERANCE,
     DistributionInvalidError,
+    InvalidParameterError,
     NonConvergenceError,
     NotRowStochasticError,
     _check_int,
@@ -35,7 +36,7 @@ from .errors import (
     _check_type,
     _real_array,
 )
-from .grassmann import _gaussian_size
+from .grassmann import _gaussian_size, _size_text
 
 __all__ = [
     "BaSolution",
@@ -94,12 +95,17 @@ class BaSolution:
 
 
 def component_capacity(q: int, T: int, h: int, rho: int, log_base: float = 2.0) -> float:
-    """Capacity of the component channel for rank deficiency rho."""
+    """Capacity of the component channel for rank deficiency rho; one past the
+    float range, with C(T, h - rho)_q, raises InvalidParameterError."""
     T = _check_int("T", T, 0)
     h = _check_int("h", h, 0, maximum=T)
     rho = _check_int("rho", rho, 0, maximum=h)
     bits = _log2_size(T, h - rho, q) - _log2_size(h, h - rho, q)
-    return bits / _base_divisor(log_base)
+    capacity = bits / _base_divisor(log_base)
+    if not math.isfinite(capacity):  # inf, or nan from inf - inf
+        size = _size_text(_gaussian_size(T, h - rho, q))
+        raise InvalidParameterError(f"capacity past the float range: C(T, {_size_text(h - rho)})_{q} is {size}")
+    return capacity
 
 
 def _log2_size(n: int, ell: int, q: int) -> float:

@@ -52,10 +52,9 @@ from .grassmann import (
     contains,
     enumerate_grassmannian,
     gaussian_coefficient,
-    span,
     subspaces_of_batch,
 )
-from .matrix import Mat, matmul, sample_full_rank_batch
+from .matrix import matmul, sample_full_rank_batch
 
 __all__ = [
     "ChannelSpec",
@@ -318,11 +317,11 @@ class Dmc:
     def num_outputs(self) -> int:
         return len(self.output_index)
 
-    def _rows(self, fmt):
-        """Each dense row of the law, in input order, as the list of
-        ``fmt(entry)`` over its |Y| float entries."""
-        values = [fmt(v) for v in self.values.tolist()]
-        zeros = [fmt(0.0)] * self.num_outputs
+    def _rows(self):
+        """Each dense row of the law, in input order, as the list of the
+        ``repr`` of its |Y| float entries."""
+        values = [repr(v) for v in self.values.tolist()]
+        zeros = [repr(0.0)] * self.num_outputs
         for cols in self.support.tolist():
             row = zeros.copy()
             for j, v in zip(cols, values):
@@ -430,10 +429,10 @@ def _tally(spec: ChannelSpec, draws: int, rngs) -> np.ndarray:
     """``simulate_frame`` of each generator of ``rngs``, one int64 row each, taken
     one at a time.  The frame, its slot tables and the cap check in force now
     are read once per call.  Per chunk, d = 0 and d = h add their counts to the
-    last slot and slot 0; then for each d = 1..h-1 in order one
-    ``sample_full_rank_batch`` draws the kept rows, whose slots are read from the
-    slot table at each matrix's ``_kernels.codes`` code or, without a table, by
-    one ``rref_batch`` call and one ranking."""
+    last slot and slot 0; then for each d = 1..h-1 in order with uses in the chunk
+    one ``sample_full_rank_batch`` draws the kept rows, whose slots are read from
+    the slot table at each matrix's ``_kernels.codes`` code or, without a table,
+    by one ``rref_batch`` call and one ranking."""
     f, h = spec.field, spec.h
     frame, slot_tables = _frame(f, h)
     for d, block in enumerate(frame.blocks):
@@ -446,12 +445,13 @@ def _tally(spec: ChannelSpec, draws: int, rngs) -> np.ndarray:
             tally[0] += counts[h]
             tally[-1] += counts[0]
             for d, k, table, lo, hi, block in kept:
-                rows = sample_full_rank_batch(f, k, h, counts[d], rng)
-                if table is None:
-                    slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
-                else:
-                    slots = table[_kernels.codes(rows, f.q)]
-                tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
+                if counts[d]:  # the sampler draws nothing for a count of 0
+                    rows = sample_full_rank_batch(f, k, h, counts[d], rng)
+                    if table is None:
+                        slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
+                    else:
+                        slots = table[_kernels.codes(rows, f.q)]
+                    tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
         return tally
 
     return np.fromiter(map(row, rngs), dtype=np.dtype((np.int64, len(frame))))
@@ -472,15 +472,13 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One channel use of input u, one draw of the stream: d is its deficiency,
-    and the output the span of K B_u, K the full-rank (h - d) x h kept rows, or
-    u at d = 0, where nothing more is drawn."""
+    """One channel use of input u: the one-use row of ``_tally`` on ``rng``,
+    mapped through u's canonical basis B_u.  Its one nonzero slot holds a
+    subspace R of F_q^h (I_h at d = 0, the zero space at d = h), and R B_u is
+    RREF by the lemma of ``subspaces_of_batch``."""
     _check_input_subspace(spec, u)
-    f, h = spec.field, spec.h
-    (counts,) = _draw_deficiencies(spec.rank_def, 1, rng)
-    d = counts.index(1)
-    rows = np.eye(h, dtype=np.uint8) if d == 0 else sample_full_rank_batch(f, h - d, h, 1, rng)[0]
-    return span(matmul(Mat(f, rows), u.basis))
+    (slot,) = _tally(spec, 1, [rng])[0].nonzero()[0].tolist()
+    return Subspace(spec.field, spec.T, matmul(_frame(spec.field, spec.h)[0].subspace_at(slot).basis, u.basis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,7 +569,7 @@ def dmc_to_json(dmc: Dmc, fileobj) -> None:
     head = json.dumps({**_dmc_metadata(dmc), "transitions": []}, indent=2, sort_keys=True)
     # "transitions" sorts last, so the text ends '"transitions": []\n}'.
     fileobj.write(head[: -len("]\n}")] + "\n")
-    for i, row in enumerate(dmc._rows(repr)):
+    for i, row in enumerate(dmc._rows()):
         text = "    [\n      " + ",\n      ".join(row) + "\n    ]"
         fileobj.write(text if i == 0 else ",\n" + text)
     fileobj.write("\n  ]\n}\n")
@@ -583,5 +581,5 @@ def dmc_to_csv(dmc: Dmc, fileobj) -> None:
     _check_type("dmc", dmc, Dmc)
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["input"] + dmc.output_index.labels())
-    for label, row in zip(dmc.input_index.labels(), dmc._rows(repr)):
+    for label, row in zip(dmc.input_index.labels(), dmc._rows()):
         writer.writerow([label] + row)

@@ -54,16 +54,17 @@ def _factor_prime_power(q: int, max_size: int | None = MAX_FIELD_SIZE) -> tuple[
     if max_size is not None and q > max_size:
         raise NotPrimePowerError(f"field size {q} exceeds supported maximum {max_size}")
     n = int(q)
-    for p in range(2, n + 1):
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
-                raise NotPrimePowerError(f"{q} is not a prime power (has distinct prime factors)")
-            return p, k
-    raise NotPrimePowerError(f"{q} is not a prime power")
+    # q's least divisor p > 1 is prime, and q itself when none is <= sqrt(q).
+    p = 2
+    while n % p and p * p <= n:
+        p += 1
+    p, k = (p if n % p == 0 else n), 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    if n != 1:
+        raise NotPrimePowerError(f"{q} is not a prime power (has distinct prime factors)")
+    return p, k
 
 
 class GF:

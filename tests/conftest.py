@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 
+from subchan.errors import NotPrimePowerError
 from subchan.gf import GF
 
 
@@ -83,6 +84,22 @@ def log10_gaussian_reference(n: int, ell: int, q: int) -> float:
         return ell * (n - ell) * math.log10(q) + math.fsum(terms)
     except OverflowError:
         return math.inf
+
+
+def factor_prime_power_reference(q: int) -> tuple[int, int]:
+    """Reference for ``gf._factor_prime_power`` at max_size=None, q >= 2: trial
+    division by every p from 2 to q, (p, k) with q = p^k, or NotPrimePowerError."""
+    n = q
+    for p in range(2, n + 1):
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            if n != 1:
+                raise NotPrimePowerError(f"{q} is not a prime power (has distinct prime factors)")
+            return p, k
+    raise NotPrimePowerError(f"{q} is not a prime power")
 
 
 def mul_slow(field: GF, a: int, b: int) -> int:

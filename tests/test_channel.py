@@ -49,6 +49,7 @@ from subchan.grassmann import (
     gaussian_coefficient,
     span,
     subspace_label,
+    subspaces_of_batch,
 )
 from subchan.matrix import Mat, matmul, rank, sample_full_rank_batch
 
@@ -464,6 +465,46 @@ class TestSimulateOneUse:
         )
 
 
+    @pytest.mark.parametrize("q, T, h", [(2, 4, 2), (3, 4, 3), (4, 5, 3), (256, 3, 2), (2, 6, 5)])
+    def test_a_use_is_the_one_use_frame_row_mapped_through_the_basis(self, q, T, h):
+        """On each seed the output is the subspace of F_q^h at the one nonzero
+        slot of ``simulate_frame(spec, 1, ...)``, mapped through B_u as
+        ``subspaces_of_batch`` maps it, and both calls leave the generator in
+        the same state.  The slots of F_q^h are the dimension blocks of C(h, d)_q
+        subspaces in ascending d.  Every deficiency occurs over the 60 seeds; at
+        q2 T6 h5 the d = 1 kept rows (4 x 5) have no slot table."""
+        f = GF(q)
+        spec = ChannelSpec(f, T, h, RankDefDist.uniform(h))
+        inputs = enumerate_grassmannian(f, T, h)
+        u = inputs[len(inputs) // 2]
+        offsets = np.cumsum([0] + [gaussian_coefficient(h, d, q) for d in range(h + 1)])
+        seen = set()
+        for seed in range(60):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            v = simulate_one_use(spec, u, rng_a)
+            (slot,) = np.flatnonzero(simulate_frame(spec, 1, rng_b))
+            d = int(np.searchsorted(offsets, slot, side="right")) - 1
+            expected = subspaces_of_batch(f, u.basis.array[None], d)[slot - offsets[d]]
+            assert v.dim == d and np.array_equal(v.basis.array, expected)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            seen.add(d)
+        assert seen == set(range(h + 1))
+
+    def test_a_use_is_one_tally_call_and_no_elimination(self, monkeypatch):
+        """Each call reads one one-use ``_tally`` row; the output R B_u is RREF
+        as it is, so no ``_kernels.rref`` runs.  The spy on ``rref`` is live:
+        ``span`` afterwards makes one call."""
+        tallies, rrefs = [], []
+        tally, rref = channel._tally, _kernels.rref
+        monkeypatch.setattr(channel, "_tally", lambda spec, draws, rngs: tallies.append(draws) or tally(spec, draws, rngs))
+        monkeypatch.setattr(_kernels, "rref", lambda *args: rrefs.append(args) or rref(*args))
+        dims = {simulate_one_use(MIXED, U, np.random.default_rng(seed)).dim for seed in range(20)}
+        assert dims == {0, 1, 2}
+        assert tallies == [1] * 20 and rrefs == []
+        span(U.basis)
+        assert len(rrefs) == 1
+
+
 class TestSimulateUses:
     """Channel-use simulation: ``simulate_frame`` draws uses in the input's
     own frame, ``simulate_one_use`` maps one through the input's basis."""
@@ -503,6 +544,26 @@ class TestSimulateUses:
         monkeypatch.setenv("SUBCHAN_ENUM_CAP", "2")
         with pytest.raises(EnumerationTooLargeError, match=r"P\(F_2\^2, 1\) has 3 subspaces"):
             simulate_frame(self.SPEC, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "q, T, h, probs, draws, digest",
+        [
+            (4, 5, 3, [0.5, 0, 0.25, 0.25], 70_000, "5cba4255adbe09e1ed8d6d36bd0175efc59076d51f145495b07caca76f38859b"),
+            (2, 4, 2, [1, 0, 0], 70_000, "d11b016b73f744f82372964957cc86aa22917325432f843c677397427e7c96b8"),
+            (2, 6, 5, [0.5, 0, 0.25, 0, 0.25, 0], 3000, "da12a72564ed2f390b1fa392bffb5864ec6ae1c0b5053c0ca4550b6ed1bae625"),
+        ],
+        ids=["q4-zero-mass-class", "q2-point-mass-0", "q2-h5-untabulated-zero-mass"],
+    )
+    def test_zero_mass_classes_tally_as_recorded(self, q, T, h, probs, draws, digest):
+        """sha256 of the little-endian int64 ``_tally`` rows of seeds 0..2,
+        recorded while a deficiency without uses in a chunk still made its
+        empty sampler, lookup and ``bincount`` passes.  The sampler draws
+        nothing for a count of 0, so skipping them keeps the stream; 70,000
+        draws span two chunks, and at q2 T6 h5 the zero-mass d = 1 has no slot table."""
+        spec = ChannelSpec(GF(q), T, h, RankDefDist(h, probs))
+        rows = channel._tally(spec, draws, [np.random.default_rng(seed) for seed in range(3)])
+        assert rows.shape == (3, len(channel._frame(GF(q), h)[0])) and (rows.sum(axis=1) == draws).all()
+        assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "probs",

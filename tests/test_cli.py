@@ -548,6 +548,20 @@ class TestOversizedSizes:
         assert run.returncode == 0 and run.stderr == ""
         assert run.stdout.startswith("capacity: 1299999998.2320")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_capacity_past_the_float_range_exits_2(self, capsys, fmt):
+        """log2 C(10^400, 2)_2 is infinite: no "capacity: inf", and no JSON
+        Infinity, which is not valid JSON."""
+        argv = ["capacity", "--q", "2", "--T", "1" + "0" * 400, "--h", "2", "--rank-def", "0.5,0.3,0.2", "--format", fmt]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: capacity past the float range: C(T, 2)_2 is about 10^inf\n"
+
+    def test_a_prime_field_size_near_a_billion_answers_in_time(self):
+        """Trial division stops at sqrt(q): about 31,600 steps for this prime q."""
+        run = self._run(["count", "gauss", "--n", "3", "--l", "2", "--q", "1000000007"], 5)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "1000000015000000057\n", "")
+
     @classmethod
     def _check_exit_2(cls, argv, text, timeout):
         run = cls._run(argv, timeout)

@@ -7,9 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import mul_slow
+from conftest import factor_prime_power_reference, mul_slow
 from subchan.errors import InvalidParameterError, NotPrimePowerError
-from subchan.gf import _REDUCTION_POLYS, GF
+from subchan.gf import _REDUCTION_POLYS, GF, _factor_prime_power
 
 AXIOM_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16]
 
@@ -106,6 +106,36 @@ def test_gf4_uses_the_unique_irreducible_quadratic():
 def test_not_prime_power_rejected(bad):
     with pytest.raises(NotPrimePowerError):
         GF(bad)
+
+
+def _factor_or_error(factor, q):
+    try:
+        return factor(q)
+    except NotPrimePowerError as exc:
+        return str(exc)
+
+
+def test_factoring_matches_trial_division_up_to_q():
+    """Trial division stops at sqrt(q), where a q with no divisor is prime;
+    every q < 20,000 gives the (p, k) or the error message of the division
+    by every p up to q."""
+    for q in range(2, 20_000):
+        assert _factor_or_error(lambda q: _factor_prime_power(q, max_size=None), q) == _factor_or_error(
+            factor_prime_power_reference, q
+        ), q
+
+
+@pytest.mark.parametrize(
+    "q, factors",
+    [(1_000_000_007, (1_000_000_007, 1)), (1_000_003**2, (1_000_003, 2)), (2**60, (2, 60)), (999_983 * 1_000_003, None)],
+    ids=["prime-1e9", "prime-square-1e12", "two-power", "two-primes-1e12"],
+)
+def test_large_field_sizes_factor_within_sqrt_q_steps(q, factors):
+    if factors is None:
+        with pytest.raises(NotPrimePowerError, match=r"^999985999949 is not a prime power \(has distinct prime factors\)$"):
+            _factor_prime_power(q, max_size=None)
+    else:
+        assert _factor_prime_power(q, max_size=None) == factors
 
 
 @pytest.mark.parametrize("q", [4.0, np.float64(4.0)], ids=["float", "numpy-float"])

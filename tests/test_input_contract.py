@@ -145,6 +145,8 @@ CASES = {
     # Past the float range the size's log10 is infinite, not an OverflowError.
     "enumerate_grassmannian-T-past-float": (lambda: enumerate_grassmannian(GF(2), 10**400, 2), EnumerationTooLargeError),
     "alphabet_sizes-T-past-float": (lambda: alphabet_sizes(ChannelSpec(GF(2), 10**400, 2, RD)), EnumerationTooLargeError),
+    # log2 C(10^400, 2)_2 is infinite: the closed form raises, it returns no inf.
+    "component_capacity-T-past-float": (lambda: component_capacity(2, 10**400, 2, 0), InvalidParameterError),
     "matmul-None": (lambda: matmul(None, U.basis), InvalidParameterError),
     "rank-None": (lambda: rank(None), InvalidParameterError),
     "rref-None": (lambda: rref(None), InvalidParameterError),
