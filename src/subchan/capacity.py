@@ -96,23 +96,28 @@ class BaSolution:
 
 def component_capacity(q: int, T: int, h: int, rho: int, log_base: float = 2.0) -> float:
     """Capacity of the component channel for rank deficiency rho; one past the
-    float range, with C(T, h - rho)_q, raises InvalidParameterError."""
+    float range raises InvalidParameterError."""
     T = _check_int("T", T, 0)
     h = _check_int("h", h, 0, maximum=T)
     rho = _check_int("rho", rho, 0, maximum=h)
     bits = _log2_size(T, h - rho, q) - _log2_size(h, h - rho, q)
     capacity = bits / _base_divisor(log_base)
-    if not math.isfinite(capacity):  # inf, or nan from inf - inf
-        size = _size_text(_gaussian_size(T, h - rho, q))
-        raise InvalidParameterError(f"capacity past the float range: C(T, {_size_text(h - rho)})_{q} is {size}")
+    if math.isinf(capacity):
+        raise InvalidParameterError(f"capacity past the float range in log base {log_base!r}")
     return capacity
 
 
 def _log2_size(n: int, ell: int, q: int) -> float:
     """log2 C(n, ell)_q: of the exact coefficient, or from its log10 when
-    ``_gaussian_size`` gives that, past what Python writes as text."""
+    ``_gaussian_size`` gives that, past what Python writes as text; one past the
+    float range raises InvalidParameterError, naming the coefficient."""
     size = _gaussian_size(n, ell, q)
-    return size / math.log10(2) if isinstance(size, float) else math.log2(size)
+    bits = size / math.log10(2) if isinstance(size, float) else math.log2(size)
+    if math.isinf(bits):
+        raise InvalidParameterError(
+            f"capacity past the float range: C({_size_text(n)}, {_size_text(ell)})_{q} is {_size_text(size)}"
+        )
+    return bits
 
 
 def _units_note(q: int, log_base: float) -> str:

@@ -54,7 +54,7 @@ from .grassmann import (
     gaussian_coefficient,
     subspaces_of_batch,
 )
-from .matrix import matmul, sample_full_rank_batch
+from .matrix import Mat, matmul, rref, sample_full_rank_batch
 
 __all__ = [
     "ChannelSpec",
@@ -425,33 +425,45 @@ def _frame(field: GF, h: int) -> tuple[OutputAlphabet, dict[int, np.ndarray]]:
     return frame, {k: _slot_table(field, k, h) for k in range(1, h) if field.q ** (k * h) <= _CHUNK}
 
 
+def _draw_uses(spec: ChannelSpec, draws: int, rng: np.random.Generator):
+    """The one draw of channel uses: per chunk of ``_draw_deficiencies``, for each
+    d with uses in ascending order, d, the count n of its uses and their kept
+    rows, one ``sample_full_rank_batch`` (n, h - d, h) draw, or at d = 0 and
+    d = h the (1, h - d, h) stack, I_h or empty, that all n share.  The sampler
+    draws nothing for a count of 0, so a d without uses is skipped."""
+    f, h = spec.field, spec.h
+    eye = np.eye(h, dtype=np.uint8)[None]
+    for counts in _draw_deficiencies(spec.rank_def, draws, rng):
+        for d, n in enumerate(counts):
+            if n:
+                yield d, n, sample_full_rank_batch(f, h - d, h, n, rng) if 0 < d < h else eye[:, : h - d]
+
+
 def _tally(spec: ChannelSpec, draws: int, rngs) -> np.ndarray:
     """``simulate_frame`` of each generator of ``rngs``, one int64 row each, taken
     one at a time.  The frame, its slot tables and the cap check in force now
-    are read once per call.  Per chunk, d = 0 and d = h add their counts to the
-    last slot and slot 0; then for each d = 1..h-1 in order with uses in the chunk
-    one ``sample_full_rank_batch`` draws the kept rows, whose slots are read from
-    the slot table at each matrix's ``_kernels.codes`` code or, without a table,
-    by one ``rref_batch`` call and one ranking."""
+    are read once per call.  Of the uses of ``_draw_uses``, d = 0 and d = h add
+    their count to the last slot and slot 0; the slots of any other kept rows
+    are read from the slot table at each matrix's ``_kernels.codes`` code or,
+    without a table, by one ``rref_batch`` call and one ranking."""
     f, h = spec.field, spec.h
     frame, slot_tables = _frame(f, h)
     for d, block in enumerate(frame.blocks):
         _check_enum_cap(f"P(F_{f.q}^{h}, {d}) has {{}} subspaces", len(block))
-    kept = [(d, h - d, slot_tables.get(h - d), *frame.offsets[h - d : h - d + 2], frame.blocks[h - d]) for d in range(1, h)]
+    kept = [(slot_tables.get(h - d), *frame.offsets[h - d : h - d + 2], frame.blocks[h - d]) for d in range(h + 1)]
 
     def row(rng):
         tally = np.zeros(len(frame), dtype=np.int64)
-        for counts in _draw_deficiencies(spec.rank_def, draws, rng):
-            tally[0] += counts[h]
-            tally[-1] += counts[0]
-            for d, k, table, lo, hi, block in kept:
-                if counts[d]:  # the sampler draws nothing for a count of 0
-                    rows = sample_full_rank_batch(f, k, h, counts[d], rng)
-                    if table is None:
-                        slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
-                    else:
-                        slots = table[_kernels.codes(rows, f.q)]
-                    tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
+        for d, n, rows in _draw_uses(spec, draws, rng):
+            table, lo, hi, block = kept[d]
+            if d == 0 or d == h:
+                tally[lo] += n
+                continue
+            if table is None:
+                slots = block.indices(_kernels.rref_batch(rows, f.add_table, f.mul_table, f.inv_table, f.neg_table)[0])
+            else:
+                slots = table[_kernels.codes(rows, f.q)]
+            tally[lo:hi] += np.bincount(slots, minlength=hi - lo)
         return tally
 
     return np.fromiter(map(row, rngs), dtype=np.dtype((np.int64, len(frame))))
@@ -472,13 +484,12 @@ def simulate_frame(spec: ChannelSpec, draws: int, rng: np.random.Generator) -> n
 
 
 def simulate_one_use(spec: ChannelSpec, u: Subspace, rng: np.random.Generator) -> Subspace:
-    """One channel use of input u: the one-use row of ``_tally`` on ``rng``,
-    mapped through u's canonical basis B_u.  Its one nonzero slot holds a
-    subspace R of F_q^h (I_h at d = 0, the zero space at d = h), and R B_u is
-    RREF by the lemma of ``subspaces_of_batch``."""
+    """One channel use of input u: the one use of ``_draw_uses`` on ``rng``, kept
+    rows K, gives R = RREF(K) and the output R B_u, which is RREF by the lemma of
+    ``subspaces_of_batch``.  No frame of F_q^h is built, so no cap applies."""
     _check_input_subspace(spec, u)
-    (slot,) = _tally(spec, 1, [rng])[0].nonzero()[0].tolist()
-    return Subspace(spec.field, spec.T, matmul(_frame(spec.field, spec.h)[0].subspace_at(slot).basis, u.basis))
+    ((_, _, rows),) = _draw_uses(spec, 1, rng)
+    return Subspace(spec.field, spec.T, matmul(rref(Mat(spec.field, rows[0]))[0], u.basis))
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,6 +47,7 @@ from subchan.grassmann import (
     enumerate_grassmannian,
     enumerate_subspaces_of,
     gaussian_coefficient,
+    resolve_enum_cap,
     span,
     subspace_label,
     subspaces_of_batch,
@@ -490,19 +491,55 @@ class TestSimulateOneUse:
             seen.add(d)
         assert seen == set(range(h + 1))
 
-    def test_a_use_is_one_tally_call_and_no_elimination(self, monkeypatch):
-        """Each call reads one one-use ``_tally`` row; the output R B_u is RREF
-        as it is, so no ``_kernels.rref`` runs.  The spy on ``rref`` is live:
-        ``span`` afterwards makes one call."""
-        tallies, rrefs = [], []
-        tally, rref = channel._tally, _kernels.rref
-        monkeypatch.setattr(channel, "_tally", lambda spec, draws, rngs: tallies.append(draws) or tally(spec, draws, rngs))
-        monkeypatch.setattr(_kernels, "rref", lambda *args: rrefs.append(args) or rref(*args))
-        dims = {simulate_one_use(MIXED, U, np.random.default_rng(seed)).dim for seed in range(20)}
-        assert dims == {0, 1, 2}
-        assert tallies == [1] * 20 and rrefs == []
-        span(U.basis)
-        assert len(rrefs) == 1
+    def test_a_use_is_one_draw_and_builds_no_frame(self, monkeypatch):
+        """Each call reads the one use of one ``_draw_uses`` call, the draw
+        ``_tally`` counts, and never builds the frame of F_q^h or calls
+        ``_tally``; its one elimination is of the (h - d) x h kept rows, not of
+        an (h - d) x T product.  The spies are live: ``simulate_frame``
+        afterwards calls ``_tally`` and ``_frame``."""
+        draws, tallies, frames, rrefs = [], [], [], []
+        draw, tally, frame, rref = channel._draw_uses, channel._tally, channel._frame, _kernels.rref
+        monkeypatch.setattr(channel, "_draw_uses", lambda spec, n, rng: draws.append(n) or draw(spec, n, rng))
+        monkeypatch.setattr(channel, "_tally", lambda *args: tallies.append(args) or tally(*args))
+        monkeypatch.setattr(channel, "_frame", lambda *args: frames.append(args) or frame(*args))
+        monkeypatch.setattr(_kernels, "rref", lambda mat, *tables: rrefs.append(mat.shape) or rref(mat, *tables))
+        dims = [simulate_one_use(MIXED, U, np.random.default_rng(seed)).dim for seed in range(20)]
+        assert set(dims) == {0, 1, 2}
+        assert draws == [1] * 20 and tallies == frames == []
+        assert rrefs == [(d, MIXED.h) for d in dims]
+        simulate_frame(MIXED, 1, np.random.default_rng(0))
+        assert len(tallies) == len(frames) == 1
+
+    @pytest.mark.parametrize(
+        "q, T, h, digest",
+        [
+            (2, 10, 9, "8c70a0b12b0ff3f9b40292cea4aae6a88b9a26d0031f16ff25dfa583f97c2604"),
+            (256, 5, 4, "1ba03563b8faa04a6e1310e154f6df9ca435afd58ef0826b40a3c10750bbd484"),
+        ],
+        ids=["q2-T10-h9", "q256-T5-h4"],
+    )
+    def test_a_use_past_the_enumeration_cap_is_pinned(self, monkeypatch, q, T, h, digest):
+        """A frame of F_q^h past the default cap (C(9, 4)_2 = 3,309,747 and
+        C(4, 2)_256 > 4 * 10^9 subspaces) does not stop a single use.  sha256 of
+        the newline-joined ``subspace_label`` of one use per seed 0..39, each
+        followed by '/' and the generator's next ``integers(2**63)``, recorded
+        while a use was drawn apart from ``_tally``; every deficiency occurs."""
+        monkeypatch.delenv("SUBCHAN_ENUM_CAP", raising=False)
+        f = GF(q)
+        assert gaussian_coefficient(h, h // 2, q) > resolve_enum_cap()
+        rows = np.zeros((h, T), dtype=np.uint8)
+        rows[np.arange(h), np.arange(T - h, T)] = 1
+        rows[:, 0] = np.arange(h) % q
+        u = span(Mat(f, rows))
+        spec = ChannelSpec(f, T, h, RankDefDist.uniform(h))
+        labels, dims = [], set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            v = simulate_one_use(spec, u, rng)
+            dims.add(v.dim)
+            labels.append(f"{subspace_label(v)}/{rng.integers(2**63)}")
+        assert dims == set(range(h + 1))
+        assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == digest
 
 
 class TestSimulateUses:

@@ -551,11 +551,12 @@ class TestOversizedSizes:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_capacity_past_the_float_range_exits_2(self, capsys, fmt):
         """log2 C(10^400, 2)_2 is infinite: no "capacity: inf", and no JSON
-        Infinity, which is not valid JSON."""
-        argv = ["capacity", "--q", "2", "--T", "1" + "0" * 400, "--h", "2", "--rank-def", "0.5,0.3,0.2", "--format", fmt]
+        Infinity, which is not valid JSON.  The message names that coefficient."""
+        T = "1" + "0" * 400
+        argv = ["capacity", "--q", "2", "--T", T, "--h", "2", "--rank-def", "0.5,0.3,0.2", "--format", fmt]
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == "error: capacity past the float range: C(T, 2)_2 is about 10^inf\n"
+        assert err == f"error: capacity past the float range: C({T}, 2)_2 is about 10^inf\n"
 
     def test_a_prime_field_size_near_a_billion_answers_in_time(self):
         """Trial division stops at sqrt(q): about 31,600 steps for this prime q."""

@@ -147,6 +147,8 @@ CASES = {
     "alphabet_sizes-T-past-float": (lambda: alphabet_sizes(ChannelSpec(GF(2), 10**400, 2, RD)), EnumerationTooLargeError),
     # log2 C(10^400, 2)_2 is infinite: the closed form raises, it returns no inf.
     "component_capacity-T-past-float": (lambda: component_capacity(2, 10**400, 2, 0), InvalidParameterError),
+    # log2 C(10^300, 1)_2 is finite, but not once divided by log2 of a base just above 1.
+    "component_capacity-base-past-float": (lambda: component_capacity(2, 10**300, 1, 0, 1 + 2**-52), InvalidParameterError),
     "matmul-None": (lambda: matmul(None, U.basis), InvalidParameterError),
     "rank-None": (lambda: rank(None), InvalidParameterError),
     "rref-None": (lambda: rref(None), InvalidParameterError),
